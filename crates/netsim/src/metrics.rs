@@ -261,10 +261,60 @@ pub struct SimResult {
     pub utilization: f64,
     /// When the run ended.
     pub end: Time,
-    /// Total simulator events dispatched during the run. Deterministic for
-    /// a given scenario; `repro perfbench` divides wall-clock by this to
-    /// derive its `ns_per_event` trajectory metric.
+    /// Simulator events dispatched to a handler during the run, lane ACKs
+    /// included and superseded RTO entries not: `stats.dispatches()`.
+    /// Deterministic for a given scenario; `repro perfbench` divides
+    /// wall-clock by this to derive its `ns_per_event` trajectory metric.
     pub events: u64,
+    /// Work counters of the event loop.
+    pub stats: RunStats,
+}
+
+/// Deterministic work counters of one run. Integers only: equal across
+/// runs of one scenario, and never read by the simulation itself.
+///
+/// Every wheel pop and lane entry is either a dispatch or a superseded RTO
+/// entry: `wheel_pops + lane_dispatches == dispatches() + rto_superseded`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunStats {
+    /// Sender wakes dispatched (flow starts, pacing timers).
+    pub wakes: u64,
+    /// Bottleneck departures dispatched.
+    pub departs: u64,
+    /// Data packets delivered to a receiver.
+    pub data_arrivals: u64,
+    /// ACKs delivered to a sender.
+    pub acks: u64,
+    /// Receiver delayed-ACK/aggregation flushes dispatched.
+    pub flushes: u64,
+    /// RTO entries that came due at their flow's deadline: a timeout, or a
+    /// timer disarmed because everything was acknowledged.
+    pub rtos: u64,
+    /// Workload flow arrivals dispatched.
+    pub flow_arrivals: u64,
+    /// Entries popped off the timer wheel.
+    pub wheel_pops: u64,
+    /// Entries taken from the same-instant lane.
+    pub lane_dispatches: u64,
+    /// RTO entries that popped before their flow's deadline and were filed
+    /// again at it.
+    pub rto_refiles: u64,
+    /// RTO entries that popped after their flow's deadline had moved: no
+    /// timeout and no dispatch.
+    pub rto_superseded: u64,
+}
+
+impl RunStats {
+    /// Handler dispatches of every kind.
+    pub fn dispatches(&self) -> u64 {
+        self.wakes
+            + self.departs
+            + self.data_arrivals
+            + self.acks
+            + self.flushes
+            + self.rtos
+            + self.flow_arrivals
+    }
 }
 
 impl SimResult {
@@ -486,6 +536,7 @@ mod tests {
             utilization: 0.9,
             end: Time::from_secs(5),
             events: 0,
+            stats: RunStats::default(),
         };
         let steady = r.steady_throughputs(Dur::from_secs(2));
         assert!(steady[0].mbps() > 0.0);
@@ -523,6 +574,7 @@ mod tests {
             utilization: 0.9,
             end: Time::from_secs(1),
             events: 0,
+            stats: RunStats::default(),
         };
         assert!((r.throughput_ratio() - 10.0).abs() < 1e-9);
         assert!(r.jain() < 1.0);
@@ -535,6 +587,7 @@ mod tests {
             utilization: 0.0,
             end: Time::from_secs(1),
             events: 0,
+            stats: RunStats::default(),
         };
         assert!(r.flow(FlowId::from_index(1)).is_some());
         assert!(r.flow(FlowId::from_index(2)).is_none());
@@ -560,6 +613,7 @@ mod tests {
             utilization: 0.9,
             end: Time::from_secs(4),
             events: 0,
+            stats: RunStats::default(),
         };
         let p = r.population(Rate::from_mbps(1.0), Dur::from_secs(1));
         assert_eq!(p.n, 3);

@@ -609,14 +609,14 @@ impl<S: SeqStore> Sender<S> {
         // until the cumulative ACK passes them) and ends the recovery
         // episode's retx-done marks.
         let lost_bytes = self.store.outstanding_bytes();
+        // No queued retransmission is outstanding (`mark_hole_retx` clears
+        // the state before queueing, `try_emit` dequeues before re-sending),
+        // so the seqs `rto_reset` drains are never already queued.
+        debug_assert!(self.retx_queue.iter().all(|&s| self.store.get(s).is_none()));
         let mut lost = std::mem::take(&mut self.rto_buf);
         self.store.rto_reset(&mut lost);
         if self.transport == Transport::Reliable {
-            for &seq in &lost {
-                if !self.retx_queue.contains(&seq) {
-                    self.retx_queue.push_back(seq);
-                }
-            }
+            self.retx_queue.extend(&lost);
         }
         lost.clear();
         self.rto_buf = lost;

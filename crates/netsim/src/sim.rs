@@ -9,16 +9,27 @@
 //!   jitter(f) ∈ [0, D] ─► receiver f ─► ACK (policy) ─► sender f
 //! ```
 //!
-//! The whole round-trip propagation `Rm` is applied on the data path and
-//! ACKs return instantly; only the sum is observable to an end-to-end CCA,
-//! so this loses no generality and lets the adversarial jitter element
-//! target full-RTT trajectories directly (as the proofs of Theorems 1–3
-//! require).
+//! The whole round-trip propagation `Rm` is applied on the data path, so an
+//! ACK reaches its sender at the instant the receiver (or its flush timer)
+//! releases it. Only the sum is observable to an end-to-end CCA, so this
+//! loses no generality and lets the adversarial jitter element target
+//! full-RTT trajectories directly (as the proofs of Theorems 1–3 require).
+//!
+//! Dispatch order is `(time, scheduling order)`, as the timer wheel defines
+//! it. Two kinds of work skip the wheel without changing that order:
+//!
+//! * **Same-instant lane.** Anything scheduled for the current instant —
+//!   every ACK, and e.g. a workload flow's start wake — goes to a FIFO
+//!   lane that drains after the current batch. The wheel would have put
+//!   it in the next same-time batch, which also runs before any later
+//!   time, in scheduling order.
+//! * **Lazy RTO timers.** See `RtoTimer`: a real timeout fires at the
+//!   same `(time, seq)` as when every deadline move filed a wheel entry.
 
 use crate::config::{FlowConfig, SimConfig, Transport};
 use crate::jitter::JitterElement;
 use crate::link::{Bottleneck, Enqueue};
-use crate::metrics::{FlowRecord, SimResult};
+use crate::metrics::{FlowRecord, RunStats, SimResult};
 use crate::packet::{Ack, FlowId, Packet};
 use crate::receiver::Receiver;
 use crate::pktstore::{PktStore, SeqStore};
@@ -28,8 +39,9 @@ use simcore::engine::EventQueue;
 use simcore::rng::Xoshiro256;
 use simcore::trace::{Auditor, Event, FlowAuditSpec, TraceSink};
 use simcore::units::{count_as_u64, Dur, Time};
+use std::collections::VecDeque;
 
-/// Simulator events.
+/// Simulator events filed on the timer wheel.
 #[derive(Debug)]
 enum Ev {
     /// A sender may be able to transmit (flow start, pacing timer, etc.).
@@ -38,14 +50,109 @@ enum Ev {
     Depart,
     /// A data packet reaches its receiver.
     DataArrive(Packet),
-    /// An acknowledgement reaches its sender.
-    AckArrive(Ack),
     /// A receiver's delayed-ACK/aggregation timer fires.
     RxFlush(FlowId, Time),
-    /// A sender's retransmission timer fires.
-    Rto(FlowId, Time),
+    /// An entry of a sender's retransmission timer comes due (see
+    /// [`RtoTimer`]).
+    Rto(FlowId),
     /// The workload's next flow arrives (self-rescheduling).
     FlowArrival,
+}
+
+/// Work for the current instant, queued in the same-instant lane.
+#[derive(Debug)]
+enum Now {
+    /// An acknowledgement reaches its sender.
+    Ack(Ack),
+    /// Any other event scheduled for the current instant.
+    Ev(Ev),
+}
+
+/// One flow's retransmission timer, armed lazily.
+///
+/// The reference is eager arming: one wheel entry per move of the sender's
+/// deadline, of which all but the last pop to no effect. Here a move
+/// reserves the seq that entry would have taken, but an entry is filed
+/// only when the new deadline is earlier than every entry the flow already
+/// has on the wheel. An entry that pops before the deadline files itself
+/// again at the deadline under the reserved seq, so a real timeout fires
+/// at the same `(time, seq)` as under eager arming.
+///
+/// One case can differ: the deadline returns to an instant it held
+/// earlier, but not just before, and the earlier reservation never reached
+/// the wheel. Eager arming fired under the earlier seq, this under the
+/// later one, so the timeout can only move behind events filed for that
+/// same nanosecond in between. If the earlier entry is still on the wheel,
+/// it fires under its own seq as before.
+#[derive(Debug, Default)]
+struct RtoTimer {
+    /// The deadline last reserved, and the seq reserved for it.
+    reserved: Option<(Time, u64)>,
+    /// Times of the flow's entries on the wheel, latest first: the last
+    /// one pops next. All distinct.
+    filed: Vec<Time>,
+}
+
+/// What an RTO entry popping meant.
+#[derive(Debug, PartialEq)]
+enum RtoPop {
+    /// The flow's deadline is now.
+    Due,
+    /// The deadline had moved; `refiled` if no other entry covered the
+    /// new one, so this entry was filed again at it.
+    Superseded { refiled: bool },
+}
+
+impl RtoTimer {
+    /// Follow the sender's deadline, which may have moved to `deadline`.
+    ///
+    /// A deadline equal to the reserved one takes no new seq (eager arming
+    /// filed nothing for it either), but its entry is filed if no entry
+    /// covers it any more: one that popped while the deadline was elsewhere
+    /// did not re-file.
+    fn arm(&mut self, q: &mut EventQueue<Ev>, flow: FlowId, deadline: Time) {
+        let seq = match self.reserved {
+            Some((d, seq)) if d == deadline => seq,
+            _ => {
+                let seq = q.reserve_seq();
+                self.reserved = Some((deadline, seq));
+                seq
+            }
+        };
+        self.file_if_first(q, flow, deadline, seq);
+    }
+
+    /// The flow's earliest entry popped at `now`; `deadline` is the
+    /// sender's deadline at this moment.
+    fn pop(
+        &mut self,
+        q: &mut EventQueue<Ev>,
+        flow: FlowId,
+        now: Time,
+        deadline: Option<Time>,
+    ) -> RtoPop {
+        let popped = self.filed.pop();
+        debug_assert_eq!(popped, Some(now), "RTO entries pop in filed order");
+        if deadline == Some(now) {
+            return RtoPop::Due;
+        }
+        let refiled = match self.reserved {
+            Some((at, seq)) if deadline == Some(at) => self.file_if_first(q, flow, at, seq),
+            _ => false,
+        };
+        RtoPop::Superseded { refiled }
+    }
+
+    /// File an entry at `at` under `seq` if it would pop before every
+    /// entry already filed; returns whether it did.
+    fn file_if_first(&mut self, q: &mut EventQueue<Ev>, flow: FlowId, at: Time, seq: u64) -> bool {
+        if self.filed.last().is_some_and(|&next| next <= at) {
+            return false;
+        }
+        self.filed.push(at);
+        q.schedule_at_seq(at, seq, Ev::Rto(flow));
+        true
+    }
 }
 
 /// A runnable network scenario.
@@ -55,6 +162,9 @@ enum Ev {
 /// (the original B-tree containers, kept as the equivalence oracle).
 pub struct Network<S: SeqStore = PktStore> {
     q: EventQueue<Ev>,
+    /// Same-instant lane: work scheduled for the current instant, in
+    /// scheduling order.
+    lane: VecDeque<Now>,
     link: Bottleneck,
     senders: Vec<Sender<S>>,
     receivers: Vec<Receiver>,
@@ -65,9 +175,10 @@ pub struct Network<S: SeqStore = PktStore> {
     /// this, every ACK adds a duplicate wake that reschedules itself
     /// forever and the event population grows without bound).
     wake_armed: Vec<Option<Time>>,
-    /// Deadline of the most recently scheduled Rto event per flow
-    /// (deduplicates timer events).
-    rto_scheduled: Vec<Option<Time>>,
+    /// Retransmission timer per flow.
+    rto: Vec<RtoTimer>,
+    /// Work counters reported on the [`SimResult`].
+    stats: RunStats,
     /// Trace sink (possibly an [`Auditor`] wrapping the configured sink).
     /// `None` — the default — costs one branch per instrumentation point.
     trace: Option<Box<dyn TraceSink>>,
@@ -115,6 +226,7 @@ impl<S: SeqStore> Network<S> {
         let end = Time::ZERO + cfg.duration;
         let mut net = Network {
             q: EventQueue::new(),
+            lane: VecDeque::new(),
             link,
             senders: Vec::new(),
             receivers: Vec::new(),
@@ -122,7 +234,8 @@ impl<S: SeqStore> Network<S> {
             rm: Vec::new(),
             loss: Vec::new(),
             wake_armed: Vec::new(),
-            rto_scheduled: Vec::new(),
+            rto: Vec::new(),
+            stats: RunStats::default(),
             trace,
             workload: cfg.workload.map(WorkloadRun::new),
             sample_every: cfg.sample_every,
@@ -134,7 +247,7 @@ impl<S: SeqStore> Network<S> {
         if let Some(run) = &net.workload {
             let first = run.spec.start;
             if run.spec.count > 0 && first < net.end {
-                net.q.schedule_at(first, Ev::FlowArrival);
+                net.schedule(first, Ev::FlowArrival);
             }
         }
         net
@@ -178,8 +291,8 @@ impl<S: SeqStore> Network<S> {
             None
         });
         self.wake_armed.push(None);
-        self.rto_scheduled.push(None);
-        self.q.schedule_at(f.start, Ev::Wake(fid));
+        self.rto.push(RtoTimer::default());
+        self.schedule(f.start, Ev::Wake(fid));
         fid
     }
 
@@ -221,7 +334,17 @@ impl<S: SeqStore> Network<S> {
             })
             .collect();
         if let Some(first) = self.link.warm_fill(self.q.now(), pkts) {
-            self.q.schedule_at(first, Ev::Depart);
+            self.schedule(first, Ev::Depart);
+        }
+    }
+
+    /// Schedule `ev` at `at`: into the same-instant lane if `at` is the
+    /// current instant, else onto the wheel.
+    fn schedule(&mut self, at: Time, ev: Ev) {
+        if at == self.q.now() {
+            self.lane.push_back(Now::Ev(ev));
+        } else {
+            self.q.schedule_at(at, ev);
         }
     }
 
@@ -237,7 +360,7 @@ impl<S: SeqStore> Network<S> {
                     let stale = self.wake_armed[flow.index()].is_some_and(|armed| armed <= t);
                     if t > now && t < self.end && !stale {
                         self.wake_armed[flow.index()] = Some(t);
-                        self.q.schedule_at(t, Ev::Wake(flow));
+                        self.schedule(t, Ev::Wake(flow));
                     }
                     break;
                 }
@@ -288,17 +411,17 @@ impl<S: SeqStore> Network<S> {
                     );
                 }
                 if let Some(t) = first_departure {
-                    self.q.schedule_at(t, Ev::Depart);
+                    self.schedule(t, Ev::Depart);
                 }
             }
         }
     }
 
+    /// Follow a move of the sender's RTO deadline (see [`RtoTimer`]).
     fn arm_rto(&mut self, flow: FlowId) {
         if let Some(deadline) = self.senders[flow.index()].rto_deadline() {
-            if deadline < self.end && self.rto_scheduled[flow.index()] != Some(deadline) {
-                self.rto_scheduled[flow.index()] = Some(deadline);
-                self.q.schedule_at(deadline, Ev::Rto(flow, deadline));
+            if deadline < self.end {
+                self.rto[flow.index()].arm(&mut self.q, flow, deadline);
             }
         }
     }
@@ -331,198 +454,206 @@ impl<S: SeqStore> Network<S> {
         self.run_capture().0
     }
 
+    /// Dispatch one wheel or lane event at `now`.
+    fn dispatch(&mut self, now: Time, ev: Ev) {
+        match ev {
+            Ev::Wake(f) => {
+                self.stats.wakes += 1;
+                if self.wake_armed[f.index()] == Some(now) {
+                    self.wake_armed[f.index()] = None;
+                }
+                self.pump(f);
+            }
+            Ev::FlowArrival => {
+                self.stats.flow_arrivals += 1;
+                let Some(run) = self.workload.as_mut() else {
+                    return;
+                };
+                if run.spawned >= run.spec.count {
+                    return;
+                }
+                let k = run.spawned;
+                let size = run.draw_size();
+                let fc = run.spec.flow_config(k, now, size);
+                run.spawned += 1;
+                let next = if run.spawned < run.spec.count {
+                    Some(now + run.next_interarrival())
+                } else {
+                    None
+                };
+                self.add_flow(fc, true);
+                if let Some(t) = next {
+                    if t < self.end {
+                        self.schedule(t, Ev::FlowArrival);
+                    }
+                }
+            }
+            Ev::Depart => {
+                self.stats.departs += 1;
+                let (pkt, next) = self.link.depart(now);
+                if let Some(t) = next {
+                    self.schedule(t, Ev::Depart);
+                }
+                let f = pkt.flow;
+                if f == Self::PHANTOM {
+                    return; // warm-start filler: occupies queue only
+                }
+                if let Some(tr) = self.trace.as_mut() {
+                    tr.event(
+                        now,
+                        &Event::Dequeue {
+                            flow: f,
+                            seq: pkt.seq,
+                            bytes: pkt.bytes,
+                            queued_bytes: self.link.queued_bytes(),
+                        },
+                    );
+                }
+                let at_element = now + self.rm[f.index()];
+                let release =
+                    self.jitters[f.index()].release_time(at_element, pkt.sent_at, pkt.bytes);
+                if let Some(tr) = self.trace.as_mut() {
+                    tr.event(
+                        now,
+                        &Event::JitterHold {
+                            flow: f,
+                            seq: pkt.seq,
+                            arrive: at_element,
+                            release,
+                        },
+                    );
+                }
+                self.schedule(release, Ev::DataArrive(pkt));
+            }
+            Ev::DataArrive(pkt) => {
+                self.stats.data_arrivals += 1;
+                let f = pkt.flow;
+                if let Some(tr) = self.trace.as_mut() {
+                    tr.event(now, &Event::JitterRelease { flow: f, seq: pkt.seq });
+                }
+                let out = self.receivers[f.index()].on_data(now, pkt);
+                if let Some(deadline) = out.arm_flush {
+                    self.schedule(deadline, Ev::RxFlush(f, deadline));
+                }
+                // The ACK path has no delay (Rm is on the data path).
+                self.lane.extend(out.acks.into_iter().map(Now::Ack));
+            }
+            Ev::RxFlush(f, deadline) => {
+                self.stats.flushes += 1;
+                let acks = self.receivers[f.index()].on_flush(deadline);
+                self.lane.extend(acks.into_iter().map(Now::Ack));
+            }
+            Ev::Rto(f) => self.on_rto(now, f),
+        }
+    }
+
+    /// An acknowledgement reaches its sender at `now`.
+    fn on_ack(&mut self, now: Time, ack: Ack) {
+        self.stats.acks += 1;
+        let f = ack.flow;
+        let rtt_before = self.senders[f.index()].metrics.rtt.len();
+        self.senders[f.index()].process_ack(now, &ack);
+        if self.trace.is_some() {
+            let s = &self.senders[f.index()];
+            // A new point in the RTT series means this ACK yielded a
+            // (Karn-valid) sample.
+            let rtt = if s.metrics.rtt.len() > rtt_before {
+                s.metrics
+                    .rtt
+                    .last()
+                    .map(|(_, secs)| Dur::from_secs_f64(secs))
+            } else {
+                None
+            };
+            let acct = s.accounting();
+            let cwnd = s.cwnd();
+            let pacing = s.cca().pacing_rate();
+            let mut probes: simcore::InlineVec<(&'static str, f64), 4> =
+                simcore::InlineVec::new();
+            s.cca().internals(&mut |k, v| probes.push((k, v)));
+            if let Some(tr) = self.trace.as_mut() {
+                tr.event(
+                    now,
+                    &Event::Ack {
+                        flow: f,
+                        cum_seq: ack.cum_seq,
+                        rtt,
+                        sent: acct.sent,
+                        delivered: acct.delivered,
+                        in_flight: acct.in_flight,
+                        lost: acct.lost,
+                        unresolved: acct.unresolved,
+                        spurious_rtx: acct.spurious_rtx,
+                    },
+                );
+                tr.event(now, &Event::CwndUpdate { flow: f, cwnd, pacing });
+                for (key, value) in probes {
+                    tr.event(now, &Event::Probe { flow: f, key, value });
+                }
+            }
+        }
+        self.report_completion(f);
+        self.arm_rto(f);
+        self.pump(f);
+    }
+
+    /// Flow `f`'s earliest RTO entry pops at `now`. At the current deadline
+    /// it is a timeout (or, if everything got acknowledged, a no-op that
+    /// disarms the timer); otherwise it is superseded and no dispatch.
+    fn on_rto(&mut self, now: Time, f: FlowId) {
+        let deadline = self.senders[f.index()].rto_deadline();
+        let popped = self.rto[f.index()].pop(&mut self.q, f, now, deadline);
+        if let RtoPop::Superseded { refiled } = popped {
+            self.stats.rto_superseded += 1;
+            self.stats.rto_refiles += u64::from(refiled);
+            return;
+        }
+        self.stats.rtos += 1;
+        if self.senders[f.index()].on_rto(now, now) {
+            if self.trace.is_some() {
+                let cwnd = self.senders[f.index()].cwnd();
+                let pacing = self.senders[f.index()].cca().pacing_rate();
+                if let Some(tr) = self.trace.as_mut() {
+                    tr.event(now, &Event::Rto { flow: f });
+                    tr.event(now, &Event::CwndUpdate { flow: f, cwnd, pacing });
+                }
+            }
+            // A timeout that writes off a datagram flow's last outstanding
+            // packets can retire the flow.
+            self.report_completion(f);
+            self.arm_rto(f);
+            self.pump(f);
+        }
+    }
+
     /// Run to completion, returning the results **and** each sender's final
     /// CCA state (cloned). The theorem constructions use the snapshots as
     /// the "converged initial states" of the 2-flow scenario (proof step 3).
     // simlint: hot-root: the event loop — everything it reaches runs per event
     pub fn run_capture(mut self) -> (SimResult, Vec<cca::BoxCca>) {
-        // Diagnostic event tally, read once so the per-event bookkeeping is
-        // a predictable branch instead of an env lookup (or, previously, an
-        // unconditional array write) in the hot loop.
-        let evstats = std::env::var_os("NETSIM_EVSTATS").is_some();
-        let mut evcount = [0u64; 7];
-        let mut events: u64 = 0;
-        // Same-time events drain in one slot search and dispatch in
-        // insertion order — the exact order the per-event pop loop
-        // produced; events a handler schedules at the current instant
-        // land in the next batch. The buffer grows once to the largest
-        // same-time cohort and is reused for the rest of the run.
+        // Each wheel batch holds every event due at its instant, in
+        // scheduling order; the lane then runs what they scheduled for the
+        // same instant, and what that schedules in turn, before the next
+        // batch. The batch buffer grows once to the largest same-time
+        // cohort and is reused for the rest of the run.
         // simlint: allow(hot-path-alloc): single reused batch buffer, amortized across the run
         let mut batch: Vec<Ev> = Vec::new();
-        while let Some(now) = self.q.pop_batch_at_or_before(self.end, &mut batch) {
-            for ev in batch.drain(..) {
-                events += 1;
-                if evstats {
-                    evcount[match ev {
-                        Ev::Wake(_) => 0,
-                        Ev::Depart => 1,
-                        Ev::DataArrive(_) => 2,
-                        Ev::AckArrive(_) => 3,
-                        Ev::RxFlush(..) => 4,
-                        Ev::Rto(..) => 5,
-                        Ev::FlowArrival => 6,
-                    }] += 1;
-                }
-                match ev {
-                    Ev::Wake(f) => {
-                        if self.wake_armed[f.index()] == Some(now) {
-                            self.wake_armed[f.index()] = None;
-                        }
-                        self.pump(f);
-                    }
-                    Ev::FlowArrival => {
-                        let Some(run) = self.workload.as_mut() else {
-                            continue;
-                        };
-                        if run.spawned >= run.spec.count {
-                            continue;
-                        }
-                        let k = run.spawned;
-                        let size = run.draw_size();
-                        let fc = run.spec.flow_config(k, now, size);
-                        run.spawned += 1;
-                        let next = if run.spawned < run.spec.count {
-                            Some(now + run.next_interarrival())
-                        } else {
-                            None
-                        };
-                        self.add_flow(fc, true);
-                        if let Some(t) = next {
-                            if t < self.end {
-                                self.q.schedule_at(t, Ev::FlowArrival);
-                            }
-                        }
-                    }
-                    Ev::Depart => {
-                        let (pkt, next) = self.link.depart(now);
-                        if let Some(t) = next {
-                            self.q.schedule_at(t, Ev::Depart);
-                        }
-                        let f = pkt.flow;
-                        if f == Self::PHANTOM {
-                            continue; // warm-start filler: occupies queue only
-                        }
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.event(
-                                now,
-                                &Event::Dequeue {
-                                    flow: f,
-                                    seq: pkt.seq,
-                                    bytes: pkt.bytes,
-                                    queued_bytes: self.link.queued_bytes(),
-                                },
-                            );
-                        }
-                        let at_element = now + self.rm[f.index()];
-                        let release =
-                            self.jitters[f.index()].release_time(at_element, pkt.sent_at, pkt.bytes);
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.event(
-                                now,
-                                &Event::JitterHold {
-                                    flow: f,
-                                    seq: pkt.seq,
-                                    arrive: at_element,
-                                    release,
-                                },
-                            );
-                        }
-                        self.q.schedule_at(release, Ev::DataArrive(pkt));
-                    }
-                    Ev::DataArrive(pkt) => {
-                        let f = pkt.flow;
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.event(now, &Event::JitterRelease { flow: f, seq: pkt.seq });
-                        }
-                        let out = self.receivers[f.index()].on_data(now, pkt);
-                        if let Some(deadline) = out.arm_flush {
-                            self.q.schedule_at(deadline, Ev::RxFlush(f, deadline));
-                        }
-                        for ack in out.acks {
-                            // ACK path is instantaneous (Rm is on the data path).
-                            self.q.schedule_at(now, Ev::AckArrive(ack));
-                        }
-                    }
-                    Ev::RxFlush(f, deadline) => {
-                        for ack in self.receivers[f.index()].on_flush(deadline) {
-                            self.q.schedule_at(now, Ev::AckArrive(ack));
-                        }
-                    }
-                    Ev::AckArrive(ack) => {
-                        let f = ack.flow;
-                        let rtt_before = self.senders[f.index()].metrics.rtt.len();
-                        self.senders[f.index()].process_ack(now, &ack);
-                        if self.trace.is_some() {
-                            let s = &self.senders[f.index()];
-                            // A new point in the RTT series means this ACK
-                            // yielded a (Karn-valid) sample.
-                            let rtt = if s.metrics.rtt.len() > rtt_before {
-                                s.metrics
-                                    .rtt
-                                    .last()
-                                    .map(|(_, secs)| Dur::from_secs_f64(secs))
-                            } else {
-                                None
-                            };
-                            let acct = s.accounting();
-                            let cwnd = s.cwnd();
-                            let pacing = s.cca().pacing_rate();
-                            let mut probes: simcore::InlineVec<(&'static str, f64), 4> =
-                                simcore::InlineVec::new();
-                            s.cca().internals(&mut |k, v| probes.push((k, v)));
-                            if let Some(tr) = self.trace.as_mut() {
-                                tr.event(
-                                    now,
-                                    &Event::Ack {
-                                        flow: f,
-                                        cum_seq: ack.cum_seq,
-                                        rtt,
-                                        sent: acct.sent,
-                                        delivered: acct.delivered,
-                                        in_flight: acct.in_flight,
-                                        lost: acct.lost,
-                                        unresolved: acct.unresolved,
-                                        spurious_rtx: acct.spurious_rtx,
-                                    },
-                                );
-                                tr.event(now, &Event::CwndUpdate { flow: f, cwnd, pacing });
-                                for (key, value) in probes {
-                                    tr.event(now, &Event::Probe { flow: f, key, value });
-                                }
-                            }
-                        }
-                        self.report_completion(f);
-                        self.arm_rto(f);
-                        self.pump(f);
-                    }
-                    Ev::Rto(f, deadline) => {
-                        if self.senders[f.index()].on_rto(now, deadline) {
-                            if self.trace.is_some() {
-                                let cwnd = self.senders[f.index()].cwnd();
-                                let pacing = self.senders[f.index()].cca().pacing_rate();
-                                if let Some(tr) = self.trace.as_mut() {
-                                    tr.event(now, &Event::Rto { flow: f });
-                                    tr.event(now, &Event::CwndUpdate { flow: f, cwnd, pacing });
-                                }
-                            }
-                            // A timeout that writes off a datagram flow's last
-                            // outstanding packets can retire the flow.
-                            self.report_completion(f);
-                            self.arm_rto(f);
-                            self.pump(f);
-                        }
-                    }
+        loop {
+            let now = self.q.now();
+            while let Some(work) = self.lane.pop_front() {
+                self.stats.lane_dispatches += 1;
+                match work {
+                    Now::Ack(ack) => self.on_ack(now, ack),
+                    Now::Ev(ev) => self.dispatch(now, ev),
                 }
             }
-        }
-        // Diagnostic: set NETSIM_EVSTATS=1 to print per-run event counts
-        // (this is how the pacing-timer duplication bug was found).
-        if evstats {
-            eprintln!(
-                "evstats: wake={} depart={} data={} ack={} flush={} rto={} arrive={} heap={}",
-                evcount[0], evcount[1], evcount[2], evcount[3], evcount[4], evcount[5],
-                evcount[6], self.q.len()
-            );
+            let Some(now) = self.q.pop_batch_at_or_before(self.end, &mut batch) else {
+                break;
+            };
+            self.stats.wheel_pops += count_as_u64(batch.len());
+            for ev in batch.drain(..) {
+                self.dispatch(now, ev);
+            }
         }
         let end = self.end;
         if self.trace.is_some() {
@@ -558,7 +689,8 @@ impl<S: SeqStore> Network<S> {
             flows,
             utilization,
             end,
-            events,
+            events: self.stats.dispatches(),
+            stats: self.stats,
         };
         (result, ccas)
     }
@@ -930,5 +1062,170 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// One RTO script: at each step's time the flow's deadline moves (or
+    /// clears), then a marker is filed for every later instant in
+    /// `instants`.
+    /// Markers pin the timeout's seq: it must pop between the markers
+    /// filed just before and just after the reservation it fires under.
+    /// A timeout disarms the timer. Returns the dispatch order, `None`
+    /// standing for the timeout.
+    fn rto_script(
+        lazy: bool,
+        steps: &[(u64, Option<u64>)],
+        instants: &[u64],
+    ) -> Vec<(Time, Option<u32>)> {
+        #[derive(Debug)]
+        enum Eager {
+            Timer(Time),
+            Marker(u32),
+        }
+        let ms = Time::from_millis;
+        let flow = FlowId::from_index(0);
+        let mut lazy_q: EventQueue<Ev> = EventQueue::new();
+        let mut eager_q: EventQueue<Eager> = EventQueue::new();
+        let mut timer = RtoTimer::default();
+        let mut eager_last: Option<Time> = None;
+        let mut deadline: Option<Time> = None;
+        let mut markers = 0u32;
+        let mut out = Vec::new();
+        let pop_until = |limit: Time,
+                             lazy_q: &mut EventQueue<Ev>,
+                             eager_q: &mut EventQueue<Eager>,
+                             timer: &mut RtoTimer,
+                             deadline: &mut Option<Time>,
+                             out: &mut Vec<(Time, Option<u32>)>| {
+            if lazy {
+                while let Some((now, ev)) = lazy_q.pop_at_or_before(limit) {
+                    match ev {
+                        Ev::Rto(f) => {
+                            if timer.pop(lazy_q, f, now, *deadline) == RtoPop::Due {
+                                *deadline = None;
+                                out.push((now, None));
+                            }
+                        }
+                        Ev::Wake(k) => out.push((now, Some(k.index() as u32))),
+                        other => panic!("unexpected {other:?}"),
+                    }
+                }
+            } else {
+                while let Some((now, ev)) = eager_q.pop_at_or_before(limit) {
+                    match ev {
+                        Eager::Timer(tag) => {
+                            if *deadline == Some(tag) {
+                                *deadline = None;
+                                out.push((now, None));
+                            }
+                        }
+                        Eager::Marker(k) => out.push((now, Some(k))),
+                    }
+                }
+            }
+        };
+        for &(at, to) in steps {
+            if at > 0 {
+                let before = ms(at) - Dur(1);
+                pop_until(before, &mut lazy_q, &mut eager_q, &mut timer, &mut deadline, &mut out);
+            }
+            deadline = to.map(ms);
+            if let Some(d) = deadline {
+                if lazy {
+                    timer.arm(&mut lazy_q, flow, d);
+                } else if eager_last != Some(d) {
+                    eager_last = Some(d);
+                    eager_q.schedule_at(d, Eager::Timer(d));
+                }
+            }
+            for &i in instants.iter().filter(|&&i| i > at) {
+                if lazy {
+                    lazy_q.schedule_at(ms(i), Ev::Wake(FlowId::from_index(markers as usize)));
+                } else {
+                    eager_q.schedule_at(ms(i), Eager::Marker(markers));
+                }
+                markers += 1;
+            }
+        }
+        pop_until(Time::MAX, &mut lazy_q, &mut eager_q, &mut timer, &mut deadline, &mut out);
+        out
+    }
+
+    #[test]
+    fn lazy_rto_fires_where_eager_arming_did() {
+        let instants = [150, 200, 220, 300];
+        let scripts: [&[(u64, Option<u64>)]; 6] = [
+            // Forward moves: only the first is filed; it re-files at 220.
+            &[(0, Some(150)), (10, Some(200)), (20, Some(220))],
+            // Backward: the earlier deadline gets its own entry.
+            &[(0, Some(200)), (10, Some(150))],
+            // Backward, then forward past the first entry.
+            &[(0, Some(200)), (10, Some(150)), (20, Some(220))],
+            // Back to an instant whose entry is still on the wheel: it
+            // fires under the first reservation's seq, as eager arming did.
+            &[(0, Some(300)), (10, Some(200)), (20, Some(300))],
+            // Cleared, then re-armed; and a deadline that moves after the
+            // timeout.
+            &[(0, Some(150)), (10, None), (20, Some(220)), (230, Some(300))],
+            // Reserved behind the live entry, cleared before it pops (so it
+            // does not re-file), then re-armed to the reserved instant: the
+            // entry is filed under the seq eager arming filed it under.
+            &[(0, Some(150)), (10, Some(300)), (20, None), (200, Some(300))],
+        ];
+        for steps in scripts {
+            let eager = rto_script(false, steps, &instants);
+            let lazy = rto_script(true, steps, &instants);
+            assert!(eager.iter().any(|&(_, m)| m.is_none()), "{steps:?}: no timeout");
+            assert_eq!(lazy, eager, "{steps:?}");
+        }
+    }
+
+    #[test]
+    fn lazy_rto_returning_to_an_unfiled_instant_fires_under_the_later_seq() {
+        // 300 is reserved at 10 ms behind the live 150 entry (not filed),
+        // left, and reserved again at 30 ms. The 150 entry re-files at 300
+        // under the later seq: same instant, but behind the markers filed
+        // for 300 between the two reservations (the case `RtoTimer`
+        // documents). Eager arming fired under the first.
+        let steps: &[(u64, Option<u64>)] =
+            &[(0, Some(150)), (10, Some(300)), (20, Some(310)), (30, Some(300))];
+        let eager = rto_script(false, steps, &[300]);
+        let lazy = rto_script(true, steps, &[300]);
+        let at = |v: &[(Time, Option<u32>)]| v.iter().position(|&(_, m)| m.is_none());
+        let (e, l) = (at(&eager).expect("eager timeout"), at(&lazy).expect("lazy timeout"));
+        assert_eq!(eager[e].0, Time::from_millis(300));
+        assert_eq!(lazy[l].0, Time::from_millis(300));
+        // Markers 1 and 2 were filed after the first reservation and
+        // before the second.
+        let mut moved = eager.clone();
+        let rto = moved.remove(e);
+        moved.insert(e + 2, rto);
+        assert_eq!(lazy, moved);
+    }
+
+    #[test]
+    fn wheel_payload_is_at_most_a_packet_and_a_tag() {
+        // ACKs travel in the lane, so the largest wheel payload is a data
+        // packet.
+        assert!(std::mem::size_of::<Ev>() <= std::mem::size_of::<Packet>() + 8);
+    }
+
+    #[test]
+    fn run_stats_account_for_every_pop() {
+        // Loss, jitter and quantized ACKs: timeouts, superseded entries,
+        // re-files and lane ACKs all occur.
+        let link = LinkConfig::new(Rate::from_mbps(12.0), 20 * 1500);
+        let flow = FlowConfig::bulk(Box::new(ConstCwnd::new(60 * 1500)), Dur::from_millis(40))
+            .with_loss(0.03, 5)
+            .with_ack_policy(AckPolicy::Quantized {
+                period: Dur::from_millis(5),
+            });
+        let r = Network::new(SimConfig::new(link, vec![flow], Dur::from_secs(5))).run();
+        let s = r.stats;
+        assert_eq!(r.events, s.dispatches());
+        assert_eq!(s.wheel_pops + s.lane_dispatches, s.dispatches() + s.rto_superseded);
+        assert!(s.rtos >= r.flows[0].timeouts && r.flows[0].timeouts > 0, "{s:?}");
+        assert!(s.rto_superseded > 0 && s.rto_refiles > 0, "{s:?}");
+        // Every ACK goes through the lane, never the wheel.
+        assert!(s.lane_dispatches >= s.acks && s.acks > 0, "{s:?}");
     }
 }

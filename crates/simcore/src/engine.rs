@@ -54,6 +54,19 @@ impl<E> EventQueue<E> {
         self.wheel.schedule_at(at, ev);
     }
 
+    /// Take the next insertion sequence number without scheduling; see
+    /// [`TimerWheel::reserve_seq`].
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.wheel.reserve_seq()
+    }
+
+    /// Schedule `ev` at `at` under a seq from
+    /// [`reserve_seq`](Self::reserve_seq): it fires where an event
+    /// scheduled at the moment of reservation would have.
+    pub fn schedule_at_seq(&mut self, at: Time, seq: u64, ev: E) {
+        self.wheel.schedule_at_seq(at, seq, ev);
+    }
+
     /// Schedule `ev` to fire `after` from now.
     pub fn schedule_after(&mut self, after: Dur, ev: E) {
         let at = self.now().saturating_add(after);

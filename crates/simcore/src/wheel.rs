@@ -147,17 +147,34 @@ impl<E> TimerWheel<E> {
     /// Schedule `ev` at absolute time `at`. Panics if `at` is before the
     /// current time — the simulation can never act on the past.
     pub fn schedule_at(&mut self, at: Time, ev: E) {
+        let seq = self.reserve_seq();
+        self.schedule_at_seq(at, seq, ev);
+    }
+
+    /// Take the next insertion sequence number without filing anything.
+    ///
+    /// A caller that may or may not need an entry later (a timer whose
+    /// deadline keeps moving) reserves the seq at the moment it would have
+    /// scheduled, so every other entry's seq is the same as if it had, and
+    /// files with [`schedule_at_seq`](Self::schedule_at_seq) only if needed.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Schedule `ev` at `at` under a seq taken earlier from
+    /// [`reserve_seq`](Self::reserve_seq): it fires exactly where an entry
+    /// scheduled at the moment of reservation would have. Panics if `at` is
+    /// in the past or `seq` was never handed out.
+    pub fn schedule_at_seq(&mut self, at: Time, seq: u64, ev: E) {
         assert!(
             at >= self.now,
             "scheduling into the past: at={at:?} now={:?}",
             self.now
         );
-        let e = Entry {
-            at,
-            seq: self.seq,
-            ev,
-        };
-        self.seq += 1;
+        assert!(seq < self.seq, "seq {seq} was never reserved");
+        let e = Entry { at, seq, ev };
         self.len += 1;
         if Self::tick_of(at) <= self.cursor {
             // Imminent (usually: scheduled at the current instant while
@@ -194,6 +211,9 @@ impl<E> TimerWheel<E> {
     /// pending outside `ready`). Called only when `ready` is empty.
     fn advance(&mut self) {
         debug_assert!(self.ready.is_empty());
+        // The drained `ready` run's buffer goes back to the level-0 slot
+        // this call empties, so the next push there does not allocate.
+        let mut spare: Vec<Entry<E>> = std::mem::take(&mut self.ready).into();
         // simlint: allow(hot-path-alloc): Vec::new is allocation-free until first push; the batch only fills while cascading coarse slots
         let mut batch: Vec<Entry<E>> = Vec::new();
         while batch.is_empty() {
@@ -211,12 +231,12 @@ impl<E> TimerWheel<E> {
                 self.cursor =
                     (((self.cursor >> (level_shift + SLOT_BITS)) << SLOT_BITS) | slot) << level_shift;
                 self.occ[level] &= !(1u64 << slot);
-                let entries = std::mem::take(&mut self.slots[level * SLOTS + slot as usize]);
+                let bucket = &mut self.slots[level * SLOTS + slot as usize];
                 if level == 0 {
                     // A level-0 slot is exactly one tick: everything is due.
-                    batch = entries;
+                    batch = std::mem::replace(bucket, std::mem::take(&mut spare));
                 } else {
-                    for e in entries {
+                    for e in std::mem::take(bucket) {
                         self.refile(e, &mut batch);
                     }
                 }
@@ -524,6 +544,38 @@ mod tests {
             Some(Time::from_millis(9))
         );
         assert_eq!(out, vec!["later"]);
+    }
+
+    #[test]
+    fn refiled_reserved_seq_pops_where_eager_entry_would() {
+        // A timer reserved between two same-time entries but filed only
+        // later must pop between them, whether the late filing goes to a
+        // wheel slot or straight into `ready` (same tick as the cursor).
+        for first in [Time::from_millis(1), Time::from_millis(40) - crate::units::Dur(100)] {
+            let t = Time::from_millis(40);
+            let mut eager = TimerWheel::new();
+            eager.schedule_at(t, "before");
+            eager.schedule_at(t, "timer");
+            eager.schedule_at(t, "after");
+            eager.schedule_at(first, "first");
+            let mut lazy = TimerWheel::new();
+            lazy.schedule_at(t, "before");
+            let seq = lazy.reserve_seq();
+            lazy.schedule_at(t, "after");
+            lazy.schedule_at(first, "first");
+            assert_eq!(lazy.pop(), Some((first, "first")));
+            lazy.schedule_at_seq(t, seq, "timer");
+            let eager: Vec<_> = std::iter::from_fn(|| eager.pop()).collect();
+            let lazy: Vec<_> = std::iter::from_fn(|| lazy.pop()).collect();
+            assert_eq!(eager[1..], lazy[..]);
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn schedule_at_unreserved_seq_panics() {
+        let mut w = TimerWheel::new();
+        w.schedule_at_seq(Time::from_millis(1), 0, ());
     }
 
     #[test]
