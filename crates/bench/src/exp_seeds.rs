@@ -12,12 +12,12 @@
 //! byte-identical at any worker count.
 
 use crate::table::{fnum, TextTable};
-use netsim::{AckPolicy, FlowConfig, Jitter, LinkConfig, SimConfig, SimResult};
+use netsim::{AckPolicy, FlowConfig, Jitter, LinkConfig, SimConfig};
 use simcore::par;
 use simcore::rng::Xoshiro256;
 use simcore::stats::Summary;
 use simcore::units::{Dur, Rate};
-use starvation::sweep::{Sweep, SweepJob};
+use starvation::sweep::{RowSummary, Sweep, SweepJob};
 use std::fmt;
 
 /// One scenario's ratio distribution over seeds.
@@ -88,8 +88,8 @@ fn allegro_config(seed: u64, secs: u64) -> SimConfig {
 }
 
 /// Starved-over-other throughput ratio at the end of the run.
-fn end_ratio(r: &SimResult) -> f64 {
-    r.flows[1].throughput_at(r.end).mbps() / r.flows[0].throughput_at(r.end).mbps()
+fn end_ratio(r: &RowSummary) -> f64 {
+    r.flows[1].throughput_mbps / r.flows[0].throughput_mbps
 }
 
 /// A scenario constructor: `(seed, secs) → SimConfig`.
@@ -124,7 +124,7 @@ pub fn run_with(quick: bool, jobs: usize) -> SeedsReport {
             scenario: name,
             ratios: report.rows[i * n as usize..(i + 1) * n as usize]
                 .iter()
-                .map(|row| end_ratio(row.result()))
+                .map(|row| end_ratio(row.summary()))
                 .collect(),
         })
         .collect();

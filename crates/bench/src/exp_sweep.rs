@@ -11,10 +11,7 @@
 //! `repro report` queries the store afterwards.
 
 use crate::table::{fnum, TextTable};
-use simcore::par;
-use starvation::sweep::{
-    CcaSpec, GridMeta, IncrementalReport, ScenarioSpec, StoreOptions, Sweep,
-};
+use starvation::sweep::{CcaSpec, GridMeta, ScenarioSpec, StoreOptions, Sweep};
 use simcore::units::Dur;
 use std::fmt;
 
@@ -23,8 +20,6 @@ use std::fmt;
 pub struct SweepPointRow {
     /// The grid coordinates.
     pub meta: GridMeta,
-    /// RTT axis, ms (kept alongside [`GridMeta`] for the table).
-    pub rtt_ms: f64,
     /// Second-half throughput of the jittered flow (flow 0), Mbit/s.
     pub jittered_mbps: f64,
     /// Second-half throughput of the clean flow (flow 1), Mbit/s.
@@ -68,27 +63,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .sample_every(Dur::from_millis(20))
 }
 
-/// Run the demo grid using every available core and the default store.
-pub fn run(quick: bool) -> SweepReport {
-    run_with(quick, par::available_jobs())
-}
-
-/// Run the demo grid across `jobs` workers against the default store.
-pub fn run_with(quick: bool, jobs: usize) -> SweepReport {
-    run_stored(
-        quick,
-        jobs,
-        &StoreOptions::new(starvation::sweep::default_store_dir()),
-    )
-}
-
-/// Run the demo grid incrementally against a specific store. Returns both
-/// the rendered grid report and the raw [`IncrementalReport`] accounting.
-pub fn run_incremental(quick: bool, jobs: usize, opts: &StoreOptions) -> IncrementalReport {
-    let s = spec(quick);
-    Sweep::new(&s.name).jobs(jobs).timing_off().run_incremental(s.expand(), opts)
-}
-
 /// Run the demo grid against `opts` and fold the per-row summaries into
 /// the grid table. Rows are extracted from the persisted [`RowSummary`]s
 /// (the `SimResult`s died in their workers), so the table is byte-stable
@@ -97,12 +71,7 @@ pub fn run_incremental(quick: bool, jobs: usize, opts: &StoreOptions) -> Increme
 /// [`RowSummary`]: starvation::sweep::RowSummary
 pub fn run_stored(quick: bool, jobs: usize, opts: &StoreOptions) -> SweepReport {
     let s = spec(quick);
-    let rtts: Vec<f64> = s
-        .points()
-        .into_iter()
-        .map(|(_, p)| p.rm.as_millis_f64())
-        .collect();
-    let inc = Sweep::new(&s.name).jobs(jobs).timing_off().run_incremental(s.expand(), opts);
+    let inc = Sweep::new(&s.name).jobs(jobs).run_incremental(s.expand(), opts);
     if inc.aborted {
         return SweepReport {
             rows: Vec::new(),
@@ -115,16 +84,11 @@ pub fn run_stored(quick: bool, jobs: usize, opts: &StoreOptions) -> SweepReport 
     let rows = inc
         .rows
         .iter()
-        .zip(rtts)
-        .map(|(row, rtt_ms)| {
-            let summary = row
-                .outcome
-                .as_ref()
-                .unwrap_or_else(|msg| panic!("{} diverged: {msg}", row.label));
+        .map(|row| {
+            let summary = row.summary();
             let meta = summary.grid.clone().expect("grid rows carry coordinates");
             SweepPointRow {
                 meta,
-                rtt_ms,
                 jittered_mbps: summary.flows[0].second_half_mbps,
                 clean_mbps: summary.flows[1].second_half_mbps,
             }
@@ -156,7 +120,7 @@ impl SweepReport {
             t.row(&[
                 r.meta.cca.clone(),
                 fnum(r.meta.rate_mbps),
-                fnum(r.rtt_ms),
+                fnum(r.meta.rtt_ms),
                 fnum(r.meta.jitter_ms),
                 r.meta.seed.to_string(),
                 fnum(r.jittered_mbps),

@@ -274,10 +274,7 @@ fn quick_sweep_grid(secs: u64) -> usize {
         .seeds(&[1, 2])
         .duration(Dur::from_secs(secs))
         .sample_every(Dur::from_millis(10));
-    let report = Sweep::new("perfbench-grid")
-        .jobs(1)
-        .timing_off()
-        .run(spec.expand());
+    let report = Sweep::new("perfbench-grid").jobs(1).run(spec.expand());
     assert_eq!(report.panics(), 0, "perfbench sweep row panicked");
     report.rows.len()
 }

@@ -265,10 +265,7 @@ mod tests {
     fn populated_store(name: &str) -> PathBuf {
         let dir = tmp_store(name);
         let s = crate::exp_sweep::spec(true);
-        let inc = Sweep::new(&s.name)
-            .jobs(2)
-            .timing_off()
-            .run_incremental(s.expand(), &StoreOptions::new(&dir));
+        let inc = Sweep::new(&s.name).jobs(2).run_incremental(s.expand(), &StoreOptions::new(&dir));
         assert!(!inc.aborted);
         dir
     }

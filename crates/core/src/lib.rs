@@ -71,7 +71,7 @@ pub use fairness::{check_f_efficiency, check_s_fairness};
 pub use pigeonhole::{pigeonhole_search, PigeonholeResult};
 pub use profiler::{profile_rate_delay, ProfilePoint};
 pub use runner::{run_ideal_path, IdealRun, RunSpec};
-pub use sweep::{CcaSpec, ScenarioSpec, Sweep, SweepJob, SweepReport, SweepRow};
+pub use sweep::{CcaSpec, ScenarioSpec, Sweep, SweepJob};
 pub use theorem1::{run_theorem1, Theorem1Config, Theorem1Report};
 pub use theorem2::{run_theorem2, Theorem2Config, Theorem2Report};
 pub use theorem3::{run_theorem3, Theorem3Config, Theorem3Report};

@@ -1,4 +1,4 @@
-//! The parallel sweep engine: scenario grids → ordered simulation results.
+//! The sweep engine: scenario grids → ordered row summaries.
 //!
 //! Every §5 reproduction and ablation is a sweep of independent
 //! deterministic simulations (seeds × parameters × scenarios). This module
@@ -7,11 +7,14 @@
 //! * [`SweepJob`] — one labelled [`SimConfig`]. Configs are `Clone`, so a
 //!   job list can be expanded once and run at any worker count (the
 //!   determinism suite runs the *same* list at `jobs = 1` and `jobs = 4`
-//!   and asserts bit-identical results).
-//! * [`Sweep`] — the runner: executes a job list across `jobs` workers,
-//!   preserves job order in the output, isolates per-job panics (a
-//!   diverging scenario reports instead of poisoning the sweep), and
-//!   appends JSON-lines timing records to `results/bench/sweep.json`.
+//!   and asserts byte-identical rows).
+//! * [`Sweep`] — the runner: one executor with an optional result store.
+//!   It runs a job list across `jobs` workers, reduces each result to a
+//!   [`RowSummary`] inside its worker, preserves job order in the output,
+//!   and isolates per-job panics (a diverging scenario reports instead of
+//!   poisoning the sweep). [`Sweep::run`] executes every job and writes
+//!   nothing; [`Sweep::run_incremental`] serves rows a content-addressed
+//!   store already holds and persists the rest.
 //! * [`ScenarioSpec`] — a declarative grid (CCA constructor × rate × RTT ×
 //!   jitter × seed) that expands into the two-flow asymmetric-jitter
 //!   topology used throughout the paper's §5/§6 experiments: flow 0 sees
@@ -30,11 +33,10 @@ use simcore::rng::Xoshiro256;
 use simcore::stats::Histogram;
 use simcore::store::{Checkpointer, Digest, Manifest, ReadError, Store, CODE_TAG};
 use simcore::units::{Dur, Rate, Time};
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The content key of a cacheable job: canonical config bytes plus the
 /// scenario seed. [`SweepJob::digest`] folds both with [`CODE_TAG`] into
@@ -53,7 +55,7 @@ pub struct JobKey {
 /// One labelled scenario in a sweep.
 #[derive(Clone)]
 pub struct SweepJob {
-    /// Row label (lands in reports and timing records).
+    /// Row label (lands in reports and store entries).
     pub label: String,
     /// The scenario to run.
     pub config: SimConfig,
@@ -135,100 +137,35 @@ impl SweepJob {
     }
 }
 
-/// One sweep row: the job's label and its result (or captured panic),
-/// at the same index the job occupied in the input list.
-pub struct SweepRow {
-    /// Position in the job list.
-    pub index: usize,
-    /// The job's label.
-    pub label: String,
-    /// Simulation result, or the panic message of a diverging scenario.
-    pub outcome: Result<SimResult, String>,
-    /// Wall-clock time this job ran for.
-    pub elapsed_ns: u64,
-}
-
-impl SweepRow {
-    /// The result, or a panic repeating the scenario's own panic message.
-    pub fn result(&self) -> &SimResult {
-        match &self.outcome {
-            Ok(r) => r,
-            Err(msg) => panic!("sweep job '{}' panicked: {msg}", self.label),
-        }
-    }
-}
-
-/// An executed sweep: ordered rows plus aggregate timing.
-pub struct SweepReport {
-    /// The sweep's name (tags its timing records).
-    pub name: String,
-    /// Worker count the sweep ran with.
-    pub jobs: usize,
-    /// One row per job, in job-list order.
-    pub rows: Vec<SweepRow>,
-    /// Wall-clock time of the whole sweep.
-    pub elapsed_ns: u64,
-}
-
-impl SweepReport {
-    /// Number of jobs that panicked.
-    pub fn panics(&self) -> usize {
-        self.rows.iter().filter(|r| r.outcome.is_err()).count()
-    }
-
-    /// Results in job order; panics on the first diverged job.
-    pub fn results(&self) -> Vec<&SimResult> {
-        self.rows.iter().map(SweepRow::result).collect()
-    }
-}
-
-/// Where the JSON-lines timing records go. Mirrors `testkit::bench`'s
-/// resolution: `SWEEP_BENCH_DIR`, else `CARGO_MANIFEST_DIR/../../results/
-/// bench` (the workspace layout), else `./results/bench`.
-fn default_timing_path() -> PathBuf {
-    let dir = std::env::var("SWEEP_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| match std::env::var("CARGO_MANIFEST_DIR") {
-            Ok(m) => PathBuf::from(m).join("../../results/bench"),
-            Err(_) => PathBuf::from("results/bench"),
-        });
-    dir.join("sweep.json")
-}
-
 /// Shared log-callback type for sweep progress messages.
 pub type SweepLog = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// The sweep runner. Construct with [`Sweep::new`], configure with the
-/// builder methods, execute with [`Sweep::run`].
+/// builder methods, execute with [`Sweep::run`] or
+/// [`Sweep::run_incremental`].
 pub struct Sweep {
     name: String,
     jobs: usize,
-    timing: Option<PathBuf>,
     log: Option<SweepLog>,
     audit: bool,
-    wall_clock: bool,
 }
 
 impl Sweep {
-    /// A sweep named `name` using every available core and the default
-    /// timing sink. Honors the `SWEEP_PROGRESS` environment variable by
-    /// installing a stderr progress logger, and `SWEEP_AUDIT` (the
-    /// `repro --audit` flag) by running every row under the runtime
-    /// invariant auditor.
+    /// A sweep named `name` using every available core. Honors the
+    /// `SWEEP_PROGRESS` environment variable by installing a stderr
+    /// progress logger, and `SWEEP_AUDIT` (the `repro --audit` flag) by
+    /// running every row under the runtime invariant auditor.
     pub fn new(name: impl Into<String>) -> Sweep {
         let log: Option<SweepLog> = match std::env::var("SWEEP_PROGRESS") {
             Ok(v) if v != "0" => Some(Arc::new(|msg: &str| eprintln!("{msg}"))),
             _ => None,
         };
         let audit = matches!(std::env::var("SWEEP_AUDIT"), Ok(v) if v != "0");
-        let wall_clock = matches!(std::env::var("SWEEP_TIMING_WALL"), Ok(v) if v != "0");
         Sweep {
             name: name.into(),
             jobs: par::available_jobs(),
-            timing: Some(default_timing_path()),
             log,
             audit,
-            wall_clock,
         }
     }
 
@@ -238,31 +175,14 @@ impl Sweep {
         self
     }
 
-    /// Builder: write timing records to a specific file.
-    pub fn timing_path(mut self, path: PathBuf) -> Sweep {
-        self.timing = Some(path);
-        self
-    }
-
-    /// Builder: disable timing records (unit tests, throwaway sweeps).
-    pub fn timing_off(mut self) -> Sweep {
-        self.timing = None;
+    /// Builder: does nothing; kept for callers that still chain it.
+    pub fn timing_off(self) -> Sweep {
         self
     }
 
     /// Builder: attach a progress log callback.
     pub fn with_log(mut self, log: SweepLog) -> Sweep {
         self.log = Some(log);
-        self
-    }
-
-    /// Builder: include wall-clock `elapsed_ns` fields in the timing
-    /// records. Off by default (or via the `SWEEP_TIMING_WALL` environment
-    /// variable) so that two identical sweeps write byte-identical timing
-    /// files — wall time is the only nondeterministic field, and keeping it
-    /// out by default means timing artifacts never diff golden outputs.
-    pub fn wall_clock(mut self, on: bool) -> Sweep {
-        self.wall_clock = on;
         self
     }
 
@@ -274,121 +194,6 @@ impl Sweep {
         self.audit = on;
         self
     }
-
-    /// The sweep layer's one wall-clock read, isolated (like
-    /// `store::Checkpointer::wall_now`) so the timing-sidecar edge can be
-    /// contained at its one call site instead of tainting every caller of
-    /// [`Sweep::run`].
-    fn sweep_clock() -> Instant {
-        // simlint: allow(determinism): sweep wall time feeds the (gated) timing sidecar only
-        Instant::now()
-    }
-
-    /// Run the job list. Rows come back in job-list order regardless of
-    /// worker count or completion order.
-    pub fn run(self, jobs_list: Vec<SweepJob>) -> SweepReport {
-        let total = jobs_list.len();
-        let labels: Vec<String> = jobs_list.iter().map(|j| j.label.clone()).collect();
-        let audit = self.audit;
-        let configs: Vec<SimConfig> = jobs_list
-            .into_iter()
-            .map(|j| if audit { j.config.with_audit(true) } else { j.config })
-            .collect();
-
-        let name = self.name;
-        let log = self.log;
-        let progress = |p: Progress| {
-            if let Some(log) = &log {
-                log(&format!(
-                    "sweep {name}: [{done}/{total}] {label} {status} in {ms:.0} ms",
-                    done = p.done,
-                    total = p.total,
-                    label = labels[p.index],
-                    status = if p.ok { "done" } else { "PANICKED" },
-                    ms = p.elapsed.as_secs_f64() * 1e3,
-                ));
-            }
-        };
-
-        let t0 = Self::sweep_clock(); // simlint: allow(determinism-taint): timing sidecar only, gated off golden outputs
-        let reports = par::map(
-            configs,
-            self.jobs,
-            |_i, config| Network::new(config).run(),
-            Some(&progress),
-        );
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
-
-        let rows: Vec<SweepRow> = reports
-            .into_iter()
-            .zip(labels)
-            .map(|(r, label)| SweepRow {
-                index: r.index,
-                label,
-                outcome: match r.outcome {
-                    par::JobOutcome::Ok(result) => Ok(result),
-                    par::JobOutcome::Panicked(msg) => Err(msg),
-                },
-                elapsed_ns: r.elapsed.as_nanos() as u64,
-            })
-            .collect();
-
-        let report = SweepReport {
-            name,
-            jobs: self.jobs,
-            rows,
-            elapsed_ns,
-        };
-        if let Some(path) = &self.timing {
-            if let Err(e) = write_timing(path, &report, total, self.wall_clock) {
-                eprintln!("sweep {}: cannot write {}: {e}", report.name, path.display());
-            }
-        }
-        report
-    }
-}
-
-/// Append JSON-lines timing records: one object per job plus a summary
-/// line per sweep. Each line is a single `write` call, so concurrent
-/// sweeps appending to the same file do not interleave within a line.
-///
-/// The wall-clock `elapsed_ns` fields are emitted only when `wall` is set
-/// ([`Sweep::wall_clock`] / `SWEEP_TIMING_WALL`): everything else in a
-/// record is a pure function of the job list, so without them two runs of
-/// the same sweep produce byte-identical files.
-fn write_timing(path: &PathBuf, report: &SweepReport, total: usize, wall: bool) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    for row in &report.rows {
-        let wall_field =
-            if wall { format!(",\"elapsed_ns\":{}", row.elapsed_ns) } else { String::new() };
-        let line = format!(
-            "{{\"sweep\":\"{}\",\"index\":{},\"label\":\"{}\",\"ok\":{}{}}}\n",
-            json_escape(&report.name),
-            row.index,
-            json_escape(&row.label),
-            row.outcome.is_ok(),
-            wall_field,
-        );
-        f.write_all(line.as_bytes())?;
-    }
-    let wall_field =
-        if wall { format!(",\"elapsed_ns\":{}", report.elapsed_ns) } else { String::new() };
-    let summary = format!(
-        "{{\"sweep\":\"{}\",\"jobs\":{},\"total\":{},\"panics\":{}{}}}\n",
-        json_escape(&report.name),
-        report.jobs,
-        total,
-        report.panics(),
-        wall_field,
-    );
-    f.write_all(summary.as_bytes())
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Throughput floor defining "starved" in persisted row summaries (§4.2's
@@ -695,9 +500,9 @@ impl SweepAggregate {
     }
 }
 
-/// Where the default result store lives. Mirrors the timing sink's
-/// resolution: `SWEEP_STORE_DIR`, else `CARGO_MANIFEST_DIR/../../results/
-/// store` (the workspace layout), else `./results/store`.
+/// Where the default result store lives: `SWEEP_STORE_DIR`, else
+/// `CARGO_MANIFEST_DIR/../../results/store` (the workspace layout), else
+/// `./results/store`.
 pub fn default_store_dir() -> PathBuf {
     std::env::var("SWEEP_STORE_DIR")
         .map(PathBuf::from)
@@ -706,6 +511,10 @@ pub fn default_store_dir() -> PathBuf {
             Err(_) => PathBuf::from("results/store"),
         })
 }
+
+/// Manifest checkpoint cadence in wall time, alongside
+/// [`StoreOptions::checkpoint_rows`].
+const CHECKPOINT_WALL: Duration = Duration::from_secs(5);
 
 /// Options for an incremental ([`Sweep::run_incremental`]) sweep.
 #[derive(Clone, Debug)]
@@ -716,11 +525,9 @@ pub struct StoreOptions {
     /// store stays valid (writes are atomic) — this forces fresh results
     /// without invalidating other sweeps sharing the store.
     pub fresh: bool,
-    /// Manifest checkpoint cadence in completed rows (0 = wall-time
-    /// cadence only).
+    /// Manifest checkpoint cadence in completed rows, alongside a fixed
+    /// 5 s wall-time cadence (0 = wall-time cadence only).
     pub checkpoint_rows: usize,
-    /// Manifest checkpoint cadence in wall time.
-    pub checkpoint_wall: Duration,
     /// Crash-injection hook for the fault-injection suite and the CI
     /// smoke: stop dispatching after this many rows have been persisted
     /// this run, skip all remaining jobs, and return with `aborted` set —
@@ -737,7 +544,6 @@ impl StoreOptions {
             dir: dir.into(),
             fresh: false,
             checkpoint_rows: 64,
-            checkpoint_wall: Duration::from_secs(5),
             kill_after: None,
         }
     }
@@ -761,8 +567,7 @@ impl StoreOptions {
     }
 }
 
-/// One row of an incremental sweep: summary, or the panic message of a
-/// diverging scenario.
+/// One sweep row: summary, or the panic message of a diverging scenario.
 pub struct IncRow {
     /// Position in the job list.
     pub index: usize,
@@ -772,7 +577,17 @@ pub struct IncRow {
     pub outcome: Result<RowSummary, String>,
 }
 
-/// An executed (or aborted) incremental sweep.
+impl IncRow {
+    /// The summary, or a panic repeating the scenario's own panic message.
+    pub fn summary(&self) -> &RowSummary {
+        match &self.outcome {
+            Ok(row) => row,
+            Err(msg) => panic!("sweep job '{}' panicked: {msg}", self.label),
+        }
+    }
+}
+
+/// An executed (or aborted) sweep.
 pub struct IncrementalReport {
     /// The sweep's name.
     pub name: String,
@@ -798,8 +613,9 @@ pub struct IncrementalReport {
     pub rows: Vec<IncRow>,
     /// Streaming aggregate over completed rows, folded in job order.
     pub aggregate: SweepAggregate,
-    /// Where this sweep's checkpoint manifest lives.
-    pub manifest_path: PathBuf,
+    /// Where this sweep's checkpoint manifest lives (`None` without a
+    /// store).
+    pub manifest_path: Option<PathBuf>,
 }
 
 impl IncrementalReport {
@@ -813,19 +629,48 @@ impl IncrementalReport {
 enum Plan {
     /// Serve from the store: the validated, already-parsed summary.
     Cached(RowSummary),
-    /// Execute (missing, invalid, uncacheable, or `fresh`).
+    /// Execute (missing, invalid, uncacheable, `fresh`, or no store).
     Run,
 }
 
-/// Shared checkpoint state the workers feed.
+/// A store-backed sweep's checkpoint state, shared by the workers.
 struct CkState {
     manifest: Manifest,
+    /// Where `manifest` is snapshotted.
+    path: PathBuf,
     cadence: Checkpointer,
     /// Rows persisted by *this* run (the kill hook's trigger).
     persisted: usize,
+    /// [`StoreOptions::kill_after`].
+    kill_after: Option<usize>,
+}
+
+/// The manifest path of a sweep over `jobs` in the store at `dir`. The
+/// sweep's identity is a digest over the ordered job digests (or labels,
+/// for unkeyed jobs), so the same grid always checkpoints to the same
+/// place and different grids sharing the store never fight over a
+/// manifest.
+fn manifest_path(dir: &Path, jobs: &[SweepJob]) -> PathBuf {
+    let mut identity = String::new();
+    for job in jobs {
+        match job.digest() {
+            Some(d) => identity.push_str(&d.hex()),
+            None => identity.push_str(&job.label),
+        }
+        identity.push('\n');
+    }
+    let sweep_digest = Digest::of(identity.as_bytes());
+    dir.join(format!("sweep-{}.manifest", &sweep_digest.hex()[..16]))
 }
 
 impl Sweep {
+    /// Run the job list, executing every job and persisting nothing. Rows
+    /// come back in job-list order regardless of worker count or
+    /// completion order; `cached` is 0 and `manifest_path` is `None`.
+    pub fn run(self, jobs_list: Vec<SweepJob>) -> IncrementalReport {
+        self.execute(jobs_list, None)
+    }
+
     /// Run the job list incrementally against a content-addressed store:
     /// rows whose digest is already present (and valid) are served from
     /// disk without simulating; everything else runs, is summarized, and
@@ -834,15 +679,21 @@ impl Sweep {
     /// a killed sweep resumes where it stopped: re-running the same sweep
     /// executes only the rows the store does not hold — zero jobs when
     /// the grid is already complete.
-    ///
-    /// Unlike [`Sweep::run`], results stream: each `SimResult` is reduced
-    /// to a compact [`RowSummary`] inside its worker and dropped, and the
-    /// report's [`SweepAggregate`] is folded row by row — memory is
-    /// O(rows · flows) summaries, never O(rows) simulation states.
     pub fn run_incremental(self, jobs_list: Vec<SweepJob>, opts: &StoreOptions) -> IncrementalReport {
-        let store = Store::open(&opts.dir).unwrap_or_else(|e| {
-            panic!("cannot open result store {}: {e}", opts.dir.display())
+        self.execute(jobs_list, Some(opts))
+    }
+
+    /// The one executor behind [`Sweep::run`] and
+    /// [`Sweep::run_incremental`]. Results stream: each `SimResult` is
+    /// reduced to a compact [`RowSummary`] inside its worker and dropped,
+    /// and the report's [`SweepAggregate`] is folded row by row — memory
+    /// is O(rows · flows) summaries, never O(rows) simulation states.
+    fn execute(self, jobs_list: Vec<SweepJob>, opts: Option<&StoreOptions>) -> IncrementalReport {
+        let store = opts.map(|o| {
+            Store::open(&o.dir)
+                .unwrap_or_else(|e| panic!("cannot open result store {}: {e}", o.dir.display()))
         });
+        let fresh = opts.is_some_and(|o| o.fresh);
         let total = jobs_list.len();
         let name = self.name;
         let log = self.log;
@@ -852,22 +703,8 @@ impl Sweep {
             }
         };
 
-        // The sweep's identity: a digest over the ordered job digests (or
-        // labels, for unkeyed jobs). Names the manifest file, so the same
-        // grid always checkpoints to the same place and different grids
-        // sharing the store never fight over a manifest.
-        let mut identity = String::new();
-        for job in &jobs_list {
-            match job.digest() {
-                Some(d) => identity.push_str(&d.hex()),
-                None => identity.push_str(&job.label),
-            }
-            identity.push('\n');
-        }
-        let sweep_digest = Digest::of(identity.as_bytes());
-        let manifest_path = opts.dir.join(format!("sweep-{}.manifest", &sweep_digest.hex()[..16]));
-
-        if let Some(prior) = Manifest::load(&manifest_path) {
+        let manifest_path = opts.map(|o| manifest_path(&o.dir, &jobs_list));
+        if let Some(prior) = manifest_path.as_deref().and_then(Manifest::load) {
             say(&format!(
                 "sweep {name}: found checkpoint ({}/{} rows, tag {})",
                 prior.done.len(),
@@ -886,13 +723,18 @@ impl Sweep {
         let mut done_digests: Vec<Digest> = Vec::new();
         let plans: Vec<Plan> = jobs_list
             .iter()
-            .map(|job| match job.digest() {
-                None => {
+            .map(|job| {
+                let Some(d) = job.digest() else {
                     uncacheable += 1;
-                    Plan::Run
+                    return Plan::Run;
+                };
+                if fresh {
+                    return Plan::Run;
                 }
-                Some(_) if opts.fresh => Plan::Run,
-                Some(d) => match store.read(&d) {
+                let Some(store) = &store else {
+                    return Plan::Run;
+                };
+                match store.read(&d) {
                     Ok(bytes) => match RowSummary::from_store_bytes(&bytes) {
                         Ok(row) => {
                             cached += 1;
@@ -911,13 +753,13 @@ impl Sweep {
                         recomputed.push((job.label.clone(), e.to_string()));
                         Plan::Run
                     }
-                },
+                }
             })
             .collect();
 
-        // Execute the cache misses. Each worker persists its row and
-        // notes completion under the checkpoint lock; the manifest is
-        // snapshotted atomically on the configured cadence.
+        // Execute the cache misses. With a store, each worker persists its
+        // row and notes completion under the checkpoint lock; the manifest
+        // is snapshotted atomically on the configured cadence.
         let to_run: Vec<(usize, SweepJob)> = jobs_list
             .into_iter()
             .enumerate()
@@ -925,20 +767,27 @@ impl Sweep {
             .filter(|(_, plan)| matches!(plan, Plan::Run))
             .map(|(pair, _)| pair)
             .collect();
-        say(&format!(
-            "sweep {name}: {cached} cached, {} to run ({} invalid entries recomputing)",
-            to_run.len(),
-            recomputed.len()
-        ));
+        let ck = match (&store, opts, &manifest_path) {
+            (Some(store), Some(opts), Some(path)) => {
+                say(&format!(
+                    "sweep {name}: {cached} cached, {} to run ({} invalid entries recomputing)",
+                    to_run.len(),
+                    recomputed.len()
+                ));
+                let mut manifest = Manifest::new(name.clone(), store.tag(), total);
+                manifest.done = done_digests;
+                Some(Mutex::new(CkState {
+                    manifest,
+                    path: path.clone(),
+                    cadence: Checkpointer::new(opts.checkpoint_rows, CHECKPOINT_WALL),
+                    persisted: 0,
+                    kill_after: opts.kill_after,
+                }))
+            }
+            _ => None,
+        };
 
         let abort = AtomicBool::new(false);
-        let mut manifest = Manifest::new(name.clone(), store.tag(), total);
-        manifest.done = done_digests;
-        let ck = Mutex::new(CkState {
-            manifest,
-            cadence: Checkpointer::new(opts.checkpoint_rows, opts.checkpoint_wall),
-            persisted: 0,
-        });
         let audit = self.audit;
         let run_labels: Vec<String> = to_run.iter().map(|(_, j)| j.label.clone()).collect();
         let progress = |p: Progress| {
@@ -966,7 +815,7 @@ impl Sweep {
                 let result = Network::new(config).run();
                 let row = RowSummary::of(&job.label, job.meta, &result);
                 drop(result); // streaming: the SimResult dies in its worker
-                if let Some(d) = digest {
+                if let (Some(d), Some(store), Some(ck)) = (digest, &store, &ck) {
                     if let Err(e) = store.write(&d, &row.to_store_bytes()) {
                         // A row that cannot persist still reports; the next
                         // run will recompute it.
@@ -975,12 +824,12 @@ impl Sweep {
                         let mut st = ck.lock().expect("checkpoint state lock");
                         st.persisted += 1;
                         st.manifest.done.push(d);
-                        if opts.kill_after.is_some_and(|n| st.persisted >= n) {
+                        if st.kill_after.is_some_and(|n| st.persisted >= n) {
                             // Simulated kill: stop here, between the row's
                             // rename and the next manifest snapshot.
                             abort.store(true, Ordering::Relaxed);
                         } else if st.cadence.row_done() {
-                            if let Err(e) = st.manifest.save(&manifest_path) {
+                            if let Err(e) = st.manifest.save(&st.path) {
                                 eprintln!("sweep: cannot checkpoint: {e}");
                             }
                         }
@@ -999,59 +848,48 @@ impl Sweep {
             })
             .count();
 
-        let ck = ck.into_inner().expect("checkpoint state unpoisoned after pool drain");
-        if abort.load(Ordering::Relaxed) {
+        let ck = ck.map(|m| m.into_inner().expect("checkpoint state unpoisoned after pool drain"));
+        let aborted = abort.load(Ordering::Relaxed);
+        let mut rows: Vec<IncRow> = Vec::new();
+        if aborted {
             say(&format!(
                 "sweep {name}: ABORTED by kill hook after {} persisted rows",
-                ck.persisted
+                ck.as_ref().map_or(0, |ck| ck.persisted)
             ));
-            return IncrementalReport {
-                name,
-                jobs: self.jobs,
-                total,
-                executed,
-                cached,
-                recomputed,
-                uncacheable,
-                aborted: true,
-                rows: Vec::new(),
-                aggregate: SweepAggregate::default(),
-                manifest_path,
-            };
-        }
-
-        // Final checkpoint: the complete (sorted, deduped) digest set. An
-        // interrupted-then-resumed sweep converges to the same bytes as an
-        // uninterrupted one.
-        if let Err(e) = ck.manifest.save(&manifest_path) {
-            eprintln!("sweep: cannot write final manifest: {e}");
-        }
-
-        // Assemble rows in job order and fold the aggregate in that same
-        // order, so the aggregate is identical at any worker count.
-        let mut fresh_rows = reports.into_iter();
-        let mut run_pos = 0usize;
-        let mut rows: Vec<IncRow> = Vec::with_capacity(total);
-        for (index, plan) in plans.into_iter().enumerate() {
-            let (label, outcome) = match plan {
-                Plan::Cached(row) => (row.label.clone(), Ok(row)),
-                Plan::Run => {
-                    let report = fresh_rows
-                        .next()
-                        .expect("one pool report exists per planned run");
-                    let label = run_labels[run_pos].clone();
-                    run_pos += 1;
-                    match report.outcome {
-                        par::JobOutcome::Ok(Some(row)) => (label, Ok(row)),
-                        par::JobOutcome::Ok(None) => {
-                            unreachable!("jobs are only skipped when aborting")
-                        }
-                        par::JobOutcome::Panicked(msg) => (label, Err(msg)),
-                    }
+        } else {
+            // Final checkpoint: the complete (sorted, deduped) digest set.
+            // An interrupted-then-resumed sweep converges to the same bytes
+            // as an uninterrupted one.
+            if let Some(ck) = &ck {
+                if let Err(e) = ck.manifest.save(&ck.path) {
+                    eprintln!("sweep: cannot write final manifest: {e}");
                 }
-            };
-            rows.push(IncRow { index, label, outcome });
+            }
+
+            // Assemble rows in job order.
+            let mut fresh_rows = reports.into_iter().zip(run_labels);
+            rows.reserve(total);
+            for (index, plan) in plans.into_iter().enumerate() {
+                let (label, outcome) = match plan {
+                    Plan::Cached(row) => (row.label.clone(), Ok(row)),
+                    Plan::Run => {
+                        let (report, label) = fresh_rows
+                            .next()
+                            .expect("one pool report exists per planned run");
+                        match report.outcome {
+                            par::JobOutcome::Ok(Some(row)) => (label, Ok(row)),
+                            par::JobOutcome::Ok(None) => {
+                                unreachable!("jobs are only skipped when aborting")
+                            }
+                            par::JobOutcome::Panicked(msg) => (label, Err(msg)),
+                        }
+                    }
+                };
+                rows.push(IncRow { index, label, outcome });
+            }
         }
+        // Fold the aggregate in job order, so it is identical at any
+        // worker count.
         let mut aggregate = SweepAggregate::default();
         for row in &rows {
             if let Ok(summary) = &row.outcome {
@@ -1067,7 +905,7 @@ impl Sweep {
             cached,
             recomputed,
             uncacheable,
-            aborted: false,
+            aborted,
             rows,
             aggregate,
             manifest_path,
@@ -1158,7 +996,7 @@ impl GridPoint {
 /// link rates, propagation RTTs, jitter bounds and seeds, expanded in that
 /// (row-major) order into two-flow asymmetric-jitter scenarios.
 pub struct ScenarioSpec {
-    /// Sweep name (tags labels and timing records).
+    /// Sweep name.
     pub name: String,
     /// The algorithm axis.
     pub ccas: Vec<CcaSpec>,
@@ -1288,11 +1126,6 @@ impl ScenarioSpec {
             })
             .collect()
     }
-
-    /// Expand and run the grid across `jobs` workers.
-    pub fn run(&self, jobs: usize) -> SweepReport {
-        Sweep::new(self.name.clone()).jobs(jobs).run(self.expand())
-    }
 }
 
 #[cfg(test)]
@@ -1332,11 +1165,11 @@ mod tests {
             Dur::from_secs(1),
         );
         let jobs = vec![SweepJob::from_scenario(&parsed), SweepJob::new("hand", by_hand)];
-        let report = Sweep::new("dsl-interop").jobs(2).timing_off().run(jobs);
+        let report = Sweep::new("dsl-interop").jobs(2).run(jobs);
         assert_eq!(report.rows[0].label, "dsl-row");
         let a = report.rows[0].outcome.as_ref().expect("dsl row runs");
         let b = report.rows[1].outcome.as_ref().expect("hand row runs");
-        assert_eq!(a.flows[0].sent_bytes, b.flows[0].sent_bytes);
+        assert_eq!(a.flows[0].sent, b.flows[0].sent);
     }
 
     #[test]
@@ -1356,26 +1189,23 @@ mod tests {
     #[test]
     fn sweep_rows_are_ordered_and_complete() {
         let spec = tiny_spec();
-        let report = Sweep::new("selftest").jobs(4).timing_off().run(spec.expand());
+        let report = Sweep::new("selftest").jobs(4).run(spec.expand());
         assert_eq!(report.rows.len(), 8);
         assert_eq!(report.panics(), 0);
         for (i, row) in report.rows.iter().enumerate() {
             assert_eq!(row.index, i);
-            assert!(row.result().flows[0].total_delivered() > 0, "{}", row.label);
+            assert!(row.summary().flows[0].delivered > 0, "{}", row.label);
         }
     }
 
     #[test]
     fn cloned_job_list_runs_twice_identically() {
         let jobs = tiny_spec().expand();
-        let a = Sweep::new("a").jobs(2).timing_off().run(jobs.clone());
-        let b = Sweep::new("b").jobs(3).timing_off().run(jobs);
+        let a = Sweep::new("a").jobs(2).run(jobs.clone());
+        let b = Sweep::new("b").jobs(3).run(jobs);
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert_eq!(ra.label, rb.label);
-            assert_eq!(
-                ra.result().flows[0].sent_bytes,
-                rb.result().flows[0].sent_bytes
-            );
+            assert_eq!(ra.summary().to_store_bytes(), rb.summary().to_store_bytes());
         }
     }
 
@@ -1427,7 +1257,6 @@ mod tests {
         );
         let report = Sweep::new("panic-isolation")
             .jobs(2)
-            .timing_off()
             .run(vec![good("good-0"), bad, good("good-2")]);
         assert_eq!(report.panics(), 1);
         assert!(report.rows[0].outcome.is_ok());
@@ -1436,80 +1265,29 @@ mod tests {
             Ok(_) => panic!("diverging scenario should have panicked"),
         }
         assert!(report.rows[2].outcome.is_ok(), "panic must not poison later jobs");
-        assert!(report.rows[2].result().flows[0].total_delivered() > 0);
+        assert!(report.rows[2].summary().flows[0].delivered > 0);
+        // The accessor re-raises a failed row's panic under its label.
+        let err = std::panic::catch_unwind(|| report.rows[1].summary().jain)
+            .expect_err("summary() of a failed row panics");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("sweep job 'bad' panicked") && msg.contains("diverged"), "{msg}");
     }
 
     #[test]
     fn audited_sweep_matches_unaudited() {
         // The auditor must pass on every grid row and change nothing.
         let jobs = tiny_spec().expand();
-        let plain = Sweep::new("plain").jobs(2).timing_off().run(jobs.clone());
-        let audited = Sweep::new("audited").jobs(2).timing_off().audit(true).run(jobs);
+        let plain = Sweep::new("plain").jobs(2).run(jobs.clone());
+        let audited = Sweep::new("audited").jobs(2).audit(true).run(jobs);
         assert_eq!(audited.panics(), 0);
         for (ra, rb) in plain.rows.iter().zip(&audited.rows) {
             assert_eq!(
-                ra.result().flows[0].sent_bytes,
-                rb.result().flows[0].sent_bytes,
-                "{}",
-                ra.label
-            );
-            assert_eq!(
-                ra.result().flows[0].total_delivered(),
-                rb.result().flows[0].total_delivered(),
+                ra.summary().to_store_bytes(),
+                rb.summary().to_store_bytes(),
                 "{}",
                 ra.label
             );
         }
-    }
-
-    #[test]
-    fn timing_records_are_json_lines_and_deterministic_by_default() {
-        let dir = std::env::temp_dir().join("sweep_selftest_timing");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("sweep.json");
-        let report = Sweep::new("timed")
-            .jobs(2)
-            .timing_path(path.clone())
-            .wall_clock(false)
-            .run(tiny_spec().expand());
-        assert_eq!(report.rows.len(), 8);
-        let text = std::fs::read_to_string(&path).unwrap();
-        // 8 job lines + 1 summary line.
-        assert_eq!(text.lines().count(), 9, "{text}");
-        assert!(text.contains("\"sweep\":\"timed\""));
-        assert!(text.contains("\"label\":\"const/r12/rtt40/j0/s1\""));
-        assert!(text.contains("\"jobs\":2"));
-        // Wall-clock fields are opt-in; by default the file is a pure
-        // function of the job list.
-        assert!(!text.contains("elapsed_ns"), "{text}");
-
-        // Re-running the identical sweep appends byte-identical records.
-        let _ = Sweep::new("timed")
-            .jobs(3)
-            .timing_path(path.clone())
-            .wall_clock(false)
-            .run(tiny_spec().expand());
-        let text2 = std::fs::read_to_string(&path).unwrap();
-        let (first, second) = text2.split_at(text.len());
-        assert_eq!(first, text);
-        assert_eq!(second.replace("\"jobs\":3", "\"jobs\":2"), text);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wall_clock_timing_is_opt_in() {
-        let dir = std::env::temp_dir().join("sweep_selftest_timing_wall");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("sweep.json");
-        let _ = Sweep::new("walled")
-            .jobs(2)
-            .timing_path(path.clone())
-            .wall_clock(true)
-            .run(tiny_spec().expand());
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 9, "{text}");
-        assert!(text.lines().all(|l| l.contains("\"elapsed_ns\":")), "{text}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1519,7 +1297,6 @@ mod tests {
         let sink = seen.clone();
         let report = Sweep::new("logged")
             .jobs(2)
-            .timing_off()
             .with_log(Arc::new(move |msg: &str| sink.lock().unwrap().push(msg.to_string())))
             .run(tiny_spec().expand());
         assert_eq!(seen.lock().unwrap().len(), report.rows.len());
@@ -1534,8 +1311,8 @@ mod tests {
 
     #[test]
     fn row_summary_store_bytes_roundtrip() {
-        let report = Sweep::new("rt").jobs(1).timing_off().run(tiny_spec().expand());
-        let row = report.rows[0].result();
+        let report = Sweep::new("rt").jobs(1).run(tiny_spec().expand());
+        let summary = report.rows[0].summary();
         let meta = GridMeta {
             cca: "const".to_string(),
             rate_mbps: 12.0,
@@ -1543,10 +1320,11 @@ mod tests {
             jitter_ms: 0.0,
             seed: 1,
         };
-        let summary = RowSummary::of("const/r12/rtt40/j0/s1", Some(meta), row);
+        assert_eq!(summary.label, "const/r12/rtt40/j0/s1");
+        assert_eq!(summary.grid, Some(meta), "grid rows carry their coordinates");
         let bytes = summary.to_store_bytes();
         let back = RowSummary::from_store_bytes(&bytes).expect("roundtrip parses");
-        assert_eq!(back, summary);
+        assert_eq!(&back, summary);
         // Serialization is a pure function of the summary.
         assert_eq!(back.to_store_bytes(), bytes);
         // Undecodable entries report, not panic.
@@ -1561,15 +1339,15 @@ mod tests {
     fn incremental_rerun_executes_zero_jobs_and_matches_bytes() {
         let dir = store_tmpdir("rerun");
         let opts = StoreOptions::new(&dir).checkpoint_rows(2);
-        let first = Sweep::new("inc").jobs(2).timing_off().run_incremental(tiny_spec().expand(), &opts);
+        let first = Sweep::new("inc").jobs(2).run_incremental(tiny_spec().expand(), &opts);
         assert_eq!(first.total, 8);
         assert_eq!(first.executed, 8);
         assert_eq!(first.cached, 0);
         assert!(!first.aborted);
         assert_eq!(first.aggregate.rows, 8);
-        assert!(first.manifest_path.exists());
+        assert!(first.manifest_path.as_ref().expect("store-backed").exists());
 
-        let second = Sweep::new("inc").jobs(4).timing_off().run_incremental(tiny_spec().expand(), &opts);
+        let second = Sweep::new("inc").jobs(4).run_incremental(tiny_spec().expand(), &opts);
         assert_eq!(second.executed, 0, "complete grid re-runs nothing");
         assert_eq!(second.cached, 8);
         let rows_a: Vec<Vec<u8>> = first
@@ -1590,17 +1368,41 @@ mod tests {
     fn fresh_flag_recomputes_without_invalidating_store() {
         let dir = store_tmpdir("fresh");
         let opts = StoreOptions::new(&dir);
-        let first = Sweep::new("f").jobs(2).timing_off().run_incremental(tiny_spec().expand(), &opts);
+        let first = Sweep::new("f").jobs(2).run_incremental(tiny_spec().expand(), &opts);
         assert_eq!(first.executed, 8);
         let fresh = Sweep::new("f")
             .jobs(2)
-            .timing_off()
             .run_incremental(tiny_spec().expand(), &opts.clone().fresh(true));
         assert_eq!(fresh.executed, 8, "--fresh re-runs everything");
         assert_eq!(fresh.cached, 0);
         // And the store is still a valid full cache afterwards.
-        let third = Sweep::new("f").jobs(2).timing_off().run_incremental(tiny_spec().expand(), &opts);
+        let third = Sweep::new("f").jobs(2).run_incremental(tiny_spec().expand(), &opts);
         assert_eq!(third.executed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn both_entry_points_give_the_same_rows() {
+        let dir = store_tmpdir("entry_points");
+        let mut jobs = tiny_spec().expand();
+        let opaque = jobs[3].config.clone();
+        jobs.insert(2, SweepJob::new("opaque", opaque));
+        let bytes = |report: &IncrementalReport| -> Vec<Vec<u8>> {
+            report.rows.iter().map(|r| r.summary().to_store_bytes()).collect()
+        };
+
+        let plain = Sweep::new("entry").jobs(2).run(jobs.clone());
+        assert_eq!(plain.manifest_path, None, "a store-less sweep has no manifest");
+        assert_eq!((plain.executed, plain.cached, plain.uncacheable), (9, 0, 1));
+        assert!(plain.recomputed.is_empty());
+
+        let opts = StoreOptions::new(&dir);
+        let cold = Sweep::new("entry").jobs(2).run_incremental(jobs.clone(), &opts);
+        let warm = Sweep::new("entry").jobs(1).run_incremental(jobs, &opts);
+        assert_eq!((cold.executed, cold.cached), (9, 0));
+        assert_eq!((warm.executed, warm.cached), (1, 8), "only the unkeyed job re-runs");
+        assert_eq!(bytes(&plain), bytes(&cold));
+        assert_eq!(bytes(&plain), bytes(&warm));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1617,9 +1419,9 @@ mod tests {
         );
         let opts = StoreOptions::new(&dir);
         let jobs = || vec![SweepJob::new("opaque", config.clone())];
-        let a = Sweep::new("u").jobs(1).timing_off().run_incremental(jobs(), &opts);
+        let a = Sweep::new("u").jobs(1).run_incremental(jobs(), &opts);
         assert_eq!((a.executed, a.uncacheable), (1, 1));
-        let b = Sweep::new("u").jobs(1).timing_off().run_incremental(jobs(), &opts);
+        let b = Sweep::new("u").jobs(1).run_incremental(jobs(), &opts);
         assert_eq!((b.executed, b.uncacheable), (1, 1), "no key ⇒ no caching");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1627,7 +1429,7 @@ mod tests {
     #[test]
     fn kill_hook_aborts_and_resume_completes_the_grid() {
         let dir = store_tmpdir("kill");
-        let killed = Sweep::new("k").jobs(1).timing_off().run_incremental(
+        let killed = Sweep::new("k").jobs(1).run_incremental(
             tiny_spec().expand(),
             &StoreOptions::new(&dir).checkpoint_rows(1).kill_after(Some(3)),
         );
@@ -1637,7 +1439,6 @@ mod tests {
 
         let resumed = Sweep::new("k")
             .jobs(1)
-            .timing_off()
             .run_incremental(tiny_spec().expand(), &StoreOptions::new(&dir));
         assert!(!resumed.aborted);
         assert_eq!(resumed.cached, 3, "persisted rows survive the kill");
@@ -1667,7 +1468,6 @@ mod tests {
         let dir = store_tmpdir("agg");
         let report = Sweep::new("agg")
             .jobs(2)
-            .timing_off()
             .run_incremental(tiny_spec().expand(), &StoreOptions::new(&dir));
         let agg = &report.aggregate;
         assert_eq!(agg.rows, 8);

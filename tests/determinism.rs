@@ -6,9 +6,11 @@
 //! every shrunken testkit counterexample relies on to be reproducible.
 
 use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig, SimResult};
+use simcore::par;
 use simcore::rng::Xoshiro256;
 use simcore::series::TimeSeries;
 use simcore::units::{Dur, Rate};
+use starvation::sweep::{CcaSpec, RowSummary, ScenarioSpec, Sweep, SweepJob};
 
 /// A scenario that exercises every randomness source at once: two adaptive
 /// CCAs (BBR's probe phasing is itself seeded) on a shallow-buffer link,
@@ -98,15 +100,51 @@ fn same_seed_is_bit_identical_across_fresh_network_objects() {
     assert_bit_identical(&a, &b);
 }
 
+/// Run `configs` through the sweep's worker pool ([`par::map`]) at
+/// `workers` workers, optionally under the runtime invariant auditor, and
+/// return the full results in input order.
+fn pool_results(configs: Vec<SimConfig>, workers: usize, audit: bool) -> Vec<SimResult> {
+    par::map(configs, workers, |_i, cfg| Network::new(cfg.with_audit(audit)).run(), None)
+        .into_iter()
+        .map(|r| r.outcome.expect("pool job"))
+        .collect()
+}
+
+/// Full results of `jobs` at one worker and at four must be bit-identical.
+fn assert_pool_bit_identical(jobs: &[SweepJob], audit: bool) {
+    let configs: Vec<SimConfig> = jobs.iter().map(|j| j.config.clone()).collect();
+    let serial = pool_results(configs.clone(), 1, audit);
+    let parallel = pool_results(configs, 4, audit);
+    assert_eq!(serial.len(), parallel.len());
+    for (s, p) in serial.iter().zip(&parallel) {
+        assert_bit_identical(s, p);
+    }
+}
+
+/// `Sweep::run` over `jobs` at one worker and at four: rows come back in
+/// job order with byte-identical store serializations. Returns the serial
+/// rows' summaries.
+fn assert_sweep_rows_identical(jobs: &[SweepJob], audit: bool) -> Vec<RowSummary> {
+    let serial = Sweep::new("det-serial").jobs(1).audit(audit).run(jobs.to_vec());
+    let parallel = Sweep::new("det-parallel").jobs(4).audit(audit).run(jobs.to_vec());
+    assert_eq!(serial.rows.len(), jobs.len());
+    assert_eq!(serial.rows.len(), parallel.rows.len());
+    for ((s, p), job) in serial.rows.iter().zip(&parallel.rows).zip(jobs) {
+        assert_eq!(s.index, p.index);
+        assert_eq!(s.label, job.label);
+        assert_eq!(s.label, p.label);
+        assert_eq!(s.summary().to_store_bytes(), p.summary().to_store_bytes(), "{}", s.label);
+    }
+    serial.rows.iter().map(|r| r.summary().clone()).collect()
+}
+
 /// The same scenario grid, expanded once and run at `jobs = 1` (inline on
-/// the calling thread) and `jobs = 4` (worker pool): every row must come
-/// back in the same order with a bit-identical result. This is the property
-/// that makes `repro ... --jobs N` produce byte-identical CSVs at any
-/// worker count.
+/// the calling thread) and `jobs = 4` (worker pool): every config must
+/// produce a bit-identical result, and every sweep row must come back in
+/// the same order with identical bytes. This is the property that makes
+/// `repro ... --jobs N` produce byte-identical CSVs at any worker count.
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    use starvation::sweep::{CcaSpec, ScenarioSpec, Sweep};
-
     let spec = ScenarioSpec::new("determinism")
         .cca(CcaSpec::new("bbr", |s| Box::new(cca::Bbr::new(1500, s))))
         .cca(CcaSpec::new("cubic", |_s| {
@@ -120,18 +158,8 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     let jobs = spec.expand();
     assert_eq!(jobs.len(), 16);
 
-    let serial = Sweep::new("det-serial")
-        .jobs(1)
-        .timing_off()
-        .run(jobs.clone());
-    let parallel = Sweep::new("det-parallel").jobs(4).timing_off().run(jobs);
-
-    assert_eq!(serial.rows.len(), parallel.rows.len());
-    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-        assert_eq!(s.index, p.index);
-        assert_eq!(s.label, p.label);
-        assert_bit_identical(s.result(), p.result());
-    }
+    assert_pool_bit_identical(&jobs, false);
+    assert_sweep_rows_identical(&jobs, false);
 }
 
 /// The audited variant: every row runs under the runtime invariant
@@ -141,8 +169,6 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 /// worker pool interleaves rows arbitrarily.
 #[test]
 fn audited_parallel_sweep_is_bit_identical_to_serial() {
-    use starvation::sweep::{CcaSpec, ScenarioSpec, Sweep};
-
     let spec = ScenarioSpec::new("determinism-audited")
         .cca(CcaSpec::new("bbr", |s| Box::new(cca::Bbr::new(1500, s))))
         .rates_mbps(&[24.0])
@@ -153,23 +179,8 @@ fn audited_parallel_sweep_is_bit_identical_to_serial() {
     let jobs = spec.expand();
     assert_eq!(jobs.len(), 4);
 
-    let serial = Sweep::new("det-audit-serial")
-        .jobs(1)
-        .audit(true)
-        .timing_off()
-        .run(jobs.clone());
-    let parallel = Sweep::new("det-audit-parallel")
-        .jobs(4)
-        .audit(true)
-        .timing_off()
-        .run(jobs);
-
-    assert_eq!(serial.rows.len(), parallel.rows.len());
-    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-        assert_eq!(s.index, p.index);
-        assert_eq!(s.label, p.label);
-        assert_bit_identical(s.result(), p.result());
-    }
+    assert_pool_bit_identical(&jobs, true);
+    assert_sweep_rows_identical(&jobs, true);
 }
 
 /// The population-scale variant: the `workload-1k` canonical scenario
@@ -181,7 +192,6 @@ fn audited_parallel_sweep_is_bit_identical_to_serial() {
 #[test]
 fn workload_1k_parallel_sweep_is_bit_identical_to_serial() {
     use netsim::ArrivalProcess;
-    use starvation::sweep::{Sweep, SweepJob};
 
     let jobs: Vec<SweepJob> = [9u64, 10, 11, 12]
         .iter()
@@ -198,30 +208,15 @@ fn workload_1k_parallel_sweep_is_bit_identical_to_serial() {
         })
         .collect();
 
-    let serial = Sweep::new("wl-serial")
-        .jobs(1)
-        .audit(true)
-        .timing_off()
-        .run(jobs.clone());
-    let parallel = Sweep::new("wl-parallel")
-        .jobs(4)
-        .audit(true)
-        .timing_off()
-        .run(jobs);
-
-    assert_eq!(serial.rows.len(), parallel.rows.len());
-    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-        assert_eq!(s.index, p.index);
-        assert_eq!(s.label, p.label);
-        let r = s.result();
-        assert_eq!(r.flows.len(), 1000, "{}: every arrival spawned", s.label);
+    assert_pool_bit_identical(&jobs, true);
+    for row in assert_sweep_rows_identical(&jobs, true) {
+        assert_eq!(row.flows.len(), 1000, "{}: every arrival spawned", row.label);
+        let completed = row.flows.iter().filter(|f| f.fct_secs.is_some()).count();
         assert!(
-            r.fcts().len() > 900,
-            "{}: most flows should complete, got {}",
-            s.label,
-            r.fcts().len()
+            completed > 900,
+            "{}: most flows should complete, got {completed}",
+            row.label
         );
-        assert_bit_identical(s.result(), p.result());
     }
 }
 

@@ -14,6 +14,7 @@
 //! offending event and its recent-event context in the panic message.
 
 use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig, SimResult};
+use simcore::par;
 use simcore::rng::Xoshiro256;
 use simcore::series::TimeSeries;
 use simcore::trace::{NullSink, RingSink, TraceSink};
@@ -115,31 +116,33 @@ fn audited_parallel_sweep_is_bit_identical_to_serial() {
     let jobs = spec.expand();
     assert_eq!(jobs.len(), 8);
 
-    let serial_plain = Sweep::new("tm-serial-plain").jobs(1).timing_off().run(jobs.clone());
-    let serial_audit = Sweep::new("tm-serial-audit")
-        .jobs(1)
-        .timing_off()
-        .audit(true)
-        .run(jobs.clone());
-    let parallel_audit = Sweep::new("tm-par-audit")
-        .jobs(4)
-        .timing_off()
-        .audit(true)
-        .run(jobs);
-
-    assert_eq!(serial_audit.panics(), 0);
-    assert_eq!(parallel_audit.panics(), 0);
-    for ((p, s), par) in serial_plain
-        .rows
-        .iter()
-        .zip(&serial_audit.rows)
-        .zip(&parallel_audit.rows)
-    {
-        assert_eq!(p.label, s.label);
-        assert_eq!(p.label, par.label);
-        assert_bit_identical(p.result(), s.result(), &p.label);
-        assert_bit_identical(p.result(), par.result(), &p.label);
+    // Full results through the sweep's worker pool.
+    let results = |workers: usize, audit: bool| -> Vec<SimResult> {
+        let configs: Vec<SimConfig> = jobs.iter().map(|j| j.config.clone()).collect();
+        par::map(configs, workers, |_i, cfg| Network::new(cfg.with_audit(audit)).run(), None)
+            .into_iter()
+            .map(|r| r.outcome.expect("audited row passes"))
+            .collect()
+    };
+    let serial_plain = results(1, false);
+    let serial_audit = results(1, true);
+    let parallel_audit = results(4, true);
+    let triples = serial_plain.iter().zip(&serial_audit).zip(&parallel_audit);
+    for (((plain, audit), par_audit), job) in triples.zip(&jobs) {
+        assert_bit_identical(plain, audit, &job.label);
+        assert_bit_identical(plain, par_audit, &job.label);
     }
+
+    // The sweep's rows: audited at four workers ≡ plain at one.
+    let rows = |sweep: Sweep| -> Vec<(String, Vec<u8>)> {
+        let report = sweep.run(jobs.clone());
+        assert_eq!(report.panics(), 0);
+        report.rows.iter().map(|r| (r.label.clone(), r.summary().to_store_bytes())).collect()
+    };
+    assert_eq!(
+        rows(Sweep::new("tm-serial-plain").jobs(1)),
+        rows(Sweep::new("tm-par-audit").jobs(4).audit(true))
+    );
 }
 
 #[test]
@@ -201,7 +204,6 @@ fn seeded_violation_surfaces_as_failed_sweep_row() {
     );
     let report = Sweep::new("audit-isolation")
         .jobs(2)
-        .timing_off()
         .audit(true)
         .run(vec![clean.clone(), violating, clean]);
     assert_eq!(report.panics(), 1);
