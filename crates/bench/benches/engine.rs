@@ -7,7 +7,7 @@
 
 use cca::AckEvent;
 use netsim::{FlowConfig, LinkConfig, Network, SimConfig};
-use simcore::engine::EventQueue;
+use simcore::wheel::TimerWheel;
 use simcore::filter::{WindowedMax, WindowedMin};
 use simcore::rng::Xoshiro256;
 use simcore::units::{Dur, Rate, Time};
@@ -16,7 +16,7 @@ use testkit::bench::Runner;
 
 fn bench_event_queue(r: &mut Runner) {
     r.bench("engine/event_queue_push_pop_1k", || {
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         for i in 0..1000u64 {
             q.schedule_at(Time(i * 977 % 50_000), i);
         }

@@ -36,24 +36,11 @@ fn bench_fig3(r: &mut Runner) {
 }
 
 fn bench_fig7(r: &mut Runner) {
-    use netsim::{AckPolicy, FlowConfig, LinkConfig, Network, SimConfig};
-    use simcore::units::{Dur, Rate};
+    use simcore::units::Dur;
     r.bench("figures/fig7_reno_delayed_acks_20s", || {
-        let rm = Dur::from_millis(120);
-        let link = LinkConfig::new(Rate::from_mbps(6.0), 60 * 1500);
-        let clean = FlowConfig::bulk(Box::new(cca::NewReno::default_params()), rm);
-        let delayed = FlowConfig::bulk(Box::new(cca::NewReno::default_params()), rm)
-            .with_ack_policy(AckPolicy::Delayed {
-                max_pkts: 4,
-                timeout: Dur::from_millis(100),
-            });
-        let r = Network::new(SimConfig::new(
-            link,
-            vec![clean, delayed],
-            Dur::from_secs(20),
-        ))
-        .run();
-        black_box(r.throughput_ratio())
+        let mk = || Box::new(cca::NewReno::default_params()) as cca::BoxCca;
+        let config = starvation::paper::delayed_ack_pair(mk, Dur::from_secs(20));
+        black_box(netsim::Network::new(config).run().throughput_ratio())
     });
 }
 

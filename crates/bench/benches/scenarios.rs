@@ -4,76 +4,37 @@
 //! scenario, so the reported time is the cost of reproducing that result.
 //! Results land in `results/bench/scenarios.json`.
 
-use netsim::{AckPolicy, FlowConfig, Jitter, LinkConfig, Network, SimConfig};
-use simcore::rng::Xoshiro256;
+use netsim::Network;
 use simcore::units::{Dur, Rate};
+use starvation::paper;
 use std::hint::black_box;
 use testkit::bench::Runner;
-use testkit::harness::{allegro_flow, allegro_link, asymmetric_jitter_run, copa_poisoned_flow};
 
 fn bench_copa_starvation(r: &mut Runner) {
     r.bench("scenarios/copa_minrtt_poison_10s", || {
-        let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-        let clean = FlowConfig::bulk(Box::new(cca::Copa::default_params()), Dur::from_millis(60));
-        let r = Network::new(SimConfig::new(
-            link,
-            vec![copa_poisoned_flow(), clean],
-            Dur::from_secs(10),
-        ))
-        .run();
-        black_box(r.throughput_ratio())
+        let config = paper::copa_pair(Dur::from_millis(1), Dur::from_secs(10));
+        black_box(Network::new(config).run().throughput_ratio())
     });
 }
 
 fn bench_bbr_starvation(r: &mut Runner) {
     r.bench("scenarios/bbr_rtt_asymmetry_10s", || {
-        let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-        let mk = |rm_ms: u64, seed: u64| {
-            FlowConfig::bulk(Box::new(cca::Bbr::new(1500, seed)), Dur::from_millis(rm_ms))
-                .with_jitter(Jitter::Random {
-                    max: Dur::from_millis(2),
-                    rng: Xoshiro256::new(seed * 7 + 1),
-                })
-        };
-        let r = Network::new(SimConfig::new(
-            link,
-            vec![mk(40, 1), mk(80, 2)],
-            Dur::from_secs(10),
-        ))
-        .run();
-        black_box(r.throughput_ratio())
+        let config = paper::bbr_rtt_pair(0, Dur::from_secs(10));
+        black_box(Network::new(config).run().throughput_ratio())
     });
 }
 
 fn bench_vivace_starvation(r: &mut Runner) {
     r.bench("scenarios/vivace_ack_quantization_10s", || {
-        let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-        let rm = Dur::from_millis(60);
-        let quantized = FlowConfig::bulk(Box::new(cca::Vivace::new(1)), rm)
-            .with_transport(netsim::Transport::Datagram)
-            .with_ack_policy(AckPolicy::Quantized {
-                period: Dur::from_millis(60),
-            });
-        let clean = FlowConfig::bulk(Box::new(cca::Vivace::new(2)), rm).with_transport(netsim::Transport::Datagram);
-        let r = Network::new(SimConfig::new(
-            link,
-            vec![quantized, clean],
-            Dur::from_secs(10),
-        ))
-        .run();
-        black_box(r.throughput_ratio())
+        let config = paper::vivace_quantized_pair(0, Dur::from_secs(10));
+        black_box(Network::new(config).run().throughput_ratio())
     });
 }
 
 fn bench_allegro_starvation(r: &mut Runner) {
     r.bench("scenarios/allegro_asymmetric_loss_15s", || {
-        let r = Network::new(SimConfig::new(
-            allegro_link(),
-            vec![allegro_flow(0.02, 1), allegro_flow(0.0, 2)],
-            Dur::from_secs(15),
-        ))
-        .run();
-        black_box(r.throughput_ratio())
+        let config = paper::allegro_loss_pair(0, Dur::from_secs(15));
+        black_box(Network::new(config).run().throughput_ratio())
     });
 }
 
@@ -91,15 +52,15 @@ fn bench_theorem1(r: &mut Runner) {
 
 fn bench_algo1_ablation(r: &mut Runner) {
     // Ablation from DESIGN.md: Algorithm 1 vs Vegas under the same
-    // asymmetric jitter (the jitter-aware mapping on/off). The scenario is
-    // `testkit::harness::asymmetric_jitter_run` — the exact configuration
-    // the integration tests assert fairness on.
+    // asymmetric jitter (the jitter-aware mapping on/off), on §6.3's
+    // `paper::jitter_pair` — the configuration the integration tests
+    // assert fairness on.
     use cca::jitter_aware::JitterAwareConfig;
-    type MkCca = Box<dyn Fn() -> cca::BoxCca>;
+    type MkCca = Box<dyn Fn(u64) -> cca::BoxCca>;
     let cases: Vec<(&str, MkCca)> = vec![
         (
             "jitter_aware",
-            Box::new(|| {
+            Box::new(|_| {
                 let mut cfg = JitterAwareConfig::example(Dur::from_millis(50));
                 cfg.a = Rate::from_mbps(0.4);
                 Box::new(cca::JitterAware::new(cfg)) as cca::BoxCca
@@ -107,13 +68,13 @@ fn bench_algo1_ablation(r: &mut Runner) {
         ),
         (
             "vegas_control",
-            Box::new(|| Box::new(cca::Vegas::default_params()) as cca::BoxCca),
+            Box::new(|_| Box::new(cca::Vegas::default_params()) as cca::BoxCca),
         ),
     ];
     for (name, mk) in cases {
         r.bench(&format!("scenarios/algo1_ablation_15s/{name}"), || {
-            let r = asymmetric_jitter_run(&mk, 15);
-            black_box(r.throughput_ratio())
+            let config = paper::jitter_pair(&mk, Dur::from_millis(10), 11, Dur::from_secs(15));
+            black_box(Network::new(config).run().throughput_ratio())
         });
     }
 }

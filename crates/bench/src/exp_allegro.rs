@@ -8,8 +8,9 @@
 //! 10.3 vs 99.1 Mbit/s).
 
 use crate::table::{fnum, TextTable};
-use netsim::{FlowConfig, LinkConfig, Network, SimConfig};
-use simcore::units::{Dur, Rate};
+use netsim::{Network, SimConfig};
+use simcore::units::Dur;
+use starvation::paper::{allegro_flow, allegro_link, allegro_loss_pair};
 use std::fmt;
 
 /// Outcome of the three §5.4 scenarios.
@@ -24,40 +25,21 @@ pub struct AllegroReport {
     pub single_mbps: f64,
 }
 
-fn link() -> LinkConfig {
-    LinkConfig::bdp_buffer(Rate::from_mbps(120.0), Dur::from_millis(40), 1.0)
-}
-
-fn flow(loss: f64, seed: u64) -> FlowConfig {
-    let f = FlowConfig::bulk(Box::new(cca::Allegro::new(seed)), Dur::from_millis(40)).with_transport(netsim::Transport::Datagram);
-    if loss > 0.0 {
-        // Loss stream 7 is the representative stream reported in
-        // EXPERIMENTS.md; `repro seeds` publishes the distribution across
-        // streams (Allegro's RCT noise makes the outcome stochastic).
-        f.with_loss(loss, 7)
-    } else {
-        f
-    }
-}
-
-/// Run all three scenarios.
+/// Run all three scenarios. Every lossy flow draws loss stream 7, the
+/// representative stream reported in EXPERIMENTS.md; `repro seeds`
+/// publishes the distribution across streams.
 pub fn run(quick: bool) -> AllegroReport {
     let secs = if quick { 45 } else { 60 };
     let dur = Dur::from_secs(secs);
 
-    let asym = Network::new(SimConfig::new(
-        link(),
-        vec![flow(0.02, 1), flow(0.0, 2)],
-        dur,
-    ))
-    .run();
+    let asym = Network::new(allegro_loss_pair(0, dur)).run();
     let sym = Network::new(SimConfig::new(
-        link(),
-        vec![flow(0.02, 3), flow(0.02, 4)],
+        allegro_link(),
+        vec![allegro_flow(0.02, 3, 7), allegro_flow(0.02, 4, 7)],
         dur,
     ))
     .run();
-    let single = Network::new(SimConfig::new(link(), vec![flow(0.02, 5)], dur)).run();
+    let single = Network::new(SimConfig::new(allegro_link(), vec![allegro_flow(0.02, 5, 7)], dur)).run();
 
     AllegroReport {
         lossy_mbps: asym.flows[0].throughput_at(asym.end).mbps(),
@@ -137,19 +119,11 @@ mod tests {
             r.lossy_mbps,
             r.clean_mbps
         );
-    }
-
-    #[test]
-    fn symmetric_loss_shares_fairly() {
-        let r = run(true);
+        // Control: when both flows see the loss, they share fairly.
         let (a, b) = r.sym;
-        let ratio = a.max(b) / a.min(b).max(0.001);
-        assert!(ratio < 3.0, "sym={a} vs {b}");
-    }
-
-    #[test]
-    fn single_lossy_flow_fills_link() {
-        let r = run(true);
+        assert!(a.max(b) / a.min(b).max(0.001) < 3.0, "sym={a} vs {b}");
+        // Control: PCC's design goal, full utilization below the 5 % loss
+        // threshold, holds for a flow alone.
         assert!(r.single_mbps > 60.0, "single={}", r.single_mbps);
     }
 }

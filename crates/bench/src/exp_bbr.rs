@@ -9,9 +9,9 @@
 //! small window and starves. Paper numbers: 8.3 vs 107 Mbit/s.
 
 use crate::table::{fnum, TextTable};
-use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig};
-use simcore::rng::Xoshiro256;
-use simcore::units::{Dur, Rate};
+use netsim::Network;
+use simcore::units::{Dur, Time};
+use starvation::paper;
 use std::fmt;
 
 /// Outcome of the BBR experiment.
@@ -28,22 +28,9 @@ pub struct BbrReport {
 /// Run the experiment.
 pub fn run(quick: bool) -> BbrReport {
     let secs = if quick { 40 } else { 60 };
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let mk = |rm_ms: u64, seed: u64| {
-        FlowConfig::bulk(Box::new(cca::Bbr::new(1500, seed)), Dur::from_millis(rm_ms))
-            .with_jitter(Jitter::Random {
-                max: Dur::from_millis(2),
-                rng: Xoshiro256::new(seed * 7 + 1),
-            })
-    };
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![mk(40, 1), mk(80, 2)],
-        Dur::from_secs(secs),
-    ))
-    .run();
+    let r = Network::new(paper::bbr_rtt_pair(0, Dur::from_secs(secs))).run();
     let end = r.end;
-    let a = simcore::units::Time(end.as_nanos() / 2);
+    let a = Time(end.as_nanos() / 2);
     BbrReport {
         small_rtt_mbps: r.flows[0].throughput_at(end).mbps(),
         large_rtt_mbps: r.flows[1].throughput_at(end).mbps(),
@@ -105,5 +92,9 @@ mod tests {
         );
         // Link stays efficiently used.
         assert!(r.small_rtt_mbps + r.large_rtt_mbps > 80.0);
+        // cwnd-limited mode: the small-RTT flow's second-half mean RTT far
+        // exceeds its 40 ms propagation delay (≈ 2·Rm of the large flow's
+        // equilibrium). 0 means it took no RTT sample at all.
+        assert!(r.small_rtt_mean_ms > 80.0, "mean rtt={} ms", r.small_rtt_mean_ms);
     }
 }

@@ -9,8 +9,9 @@
 //! Paper numbers: 9.9 vs 99.4 Mbit/s.
 
 use crate::table::{fnum, TextTable};
-use netsim::{AckPolicy, FlowConfig, LinkConfig, Network, SimConfig};
-use simcore::units::{Dur, Rate};
+use netsim::Network;
+use simcore::units::Dur;
+use starvation::paper;
 use std::fmt;
 
 /// Outcome of the Vivace experiment.
@@ -24,20 +25,7 @@ pub struct VivaceReport {
 /// Run the experiment.
 pub fn run(quick: bool) -> VivaceReport {
     let secs = if quick { 20 } else { 60 };
-    let rm = Dur::from_millis(60);
-    let link = LinkConfig::ample_buffer(Rate::from_mbps(120.0));
-    let quantized = FlowConfig::bulk(Box::new(cca::Vivace::new(1)), rm)
-        .with_transport(netsim::Transport::Datagram)
-        .with_ack_policy(AckPolicy::Quantized {
-            period: Dur::from_millis(60),
-        });
-    let clean = FlowConfig::bulk(Box::new(cca::Vivace::new(2)), rm).with_transport(netsim::Transport::Datagram);
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![quantized, clean],
-        Dur::from_secs(secs),
-    ))
-    .run();
+    let r = Network::new(paper::vivace_quantized_pair(0, Dur::from_secs(secs))).run();
     VivaceReport {
         quantized_mbps: r.flows[0].throughput_at(r.end).mbps(),
         clean_mbps: r.flows[1].throughput_at(r.end).mbps(),

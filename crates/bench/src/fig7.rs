@@ -9,8 +9,9 @@
 
 use crate::table::{fnum, TextTable};
 use cca::BoxCca;
-use netsim::{AckPolicy, FlowConfig, LinkConfig, Network, SimConfig};
-use simcore::units::{Dur, Rate, Time};
+use netsim::Network;
+use simcore::units::{Dur, Time};
+use starvation::paper;
 use std::fmt;
 
 /// One CCA's two-flow outcome.
@@ -42,19 +43,7 @@ pub struct Fig7Report {
 
 fn one(cca: &'static str, mk: fn() -> BoxCca, quick: bool) -> Fig7Row {
     let secs = if quick { 60 } else { 200 };
-    let rm = Dur::from_millis(120);
-    let link = LinkConfig::new(Rate::from_mbps(6.0), 60 * 1500);
-    let clean = FlowConfig::bulk(mk(), rm);
-    let delayed = FlowConfig::bulk(mk(), rm).with_ack_policy(AckPolicy::Delayed {
-        max_pkts: 4,
-        timeout: Dur::from_millis(100),
-    });
-    let r = Network::new(SimConfig::new(
-        link,
-        vec![clean, delayed],
-        Dur::from_secs(secs),
-    ))
-    .run();
+    let r = Network::new(paper::delayed_ack_pair(mk, Dur::from_secs(secs))).run();
     let series = |i: usize| -> Vec<(f64, f64)> {
         r.flows[i]
             .cwnd

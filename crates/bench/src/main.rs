@@ -42,7 +42,7 @@
 //!              tests/scenarios/, writes coverage.txt, findings.jsonl
 //!              and minimal finding-NNN.scn reproducers into the out
 //!              dir; exits 1 on findings; --quick caps the run for CI)
-//!   perfbench  hot-path performance suite (EventQueue micro-benches,
+//!   perfbench  hot-path performance suite (TimerWheel micro-benches,
 //!              canonical-scenario, workload-10k and sweep macro-benches);
 //!              appends labelled records to BENCH_netsim.json at the repo
 //!              root, or to target/perfbench-quick.json under --quick

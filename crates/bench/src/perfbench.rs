@@ -21,7 +21,7 @@
 //!
 //! The suite:
 //!
-//! * **micro** — `EventQueue` schedule/pop patterns: uniform pseudorandom
+//! * **micro** — `TimerWheel` schedule/pop patterns: uniform pseudorandom
 //!   horizons, same-instant ties (FIFO ordering), and a near/far mix that
 //!   exercises the far-future overflow path of the timer wheel.
 //! * **macro** — whole simulations: a one-flow saturating ConstCwnd run,
@@ -54,7 +54,7 @@
 
 use cca::ConstCwnd;
 use netsim::{FlowConfig, LinkConfig, Network, SimConfig};
-use simcore::engine::EventQueue;
+use simcore::wheel::TimerWheel;
 use simcore::rng::Xoshiro256;
 use simcore::units::{Dur, Rate, Time};
 use starvation::sweep::{CcaSpec, ScenarioSpec, Sweep};
@@ -114,7 +114,7 @@ impl Record {
             self.m.max_ns,
         );
         if let Some(events) = self.events {
-            let per_event = if events > 0 { self.m.mean_ns / events } else { 0 };
+            let per_event = self.m.mean_ns.checked_div(events).unwrap_or(0);
             line.push_str(&format!(",\"events\":{events},\"ns_per_event\":{per_event}"));
         }
         line.push('}');
@@ -165,7 +165,7 @@ pub fn output_path(quick: bool) -> PathBuf {
 /// 10k schedule + 10k pops at pseudorandom times over a 50 ms horizon.
 fn queue_uniform_10k() -> u64 {
     let mut rng = Xoshiro256::new(0xBEEF);
-    let mut q = EventQueue::new();
+    let mut q = TimerWheel::new();
     for i in 0..10_000u64 {
         q.schedule_at(Time(rng.next_u64() % 50_000_000), i);
     }
@@ -180,7 +180,7 @@ fn queue_uniform_10k() -> u64 {
 /// access pattern (the queue stays small; time advances continuously).
 fn queue_interleaved_10k() -> u64 {
     let mut rng = Xoshiro256::new(0xFACE);
-    let mut q = EventQueue::new();
+    let mut q = TimerWheel::new();
     let mut acc = 0u64;
     let mut horizon = 0u64;
     for burst in 0..100u64 {
@@ -201,7 +201,7 @@ fn queue_interleaved_10k() -> u64 {
 
 /// 10k same-instant events: pure FIFO-tie ordering cost.
 fn queue_ties_10k() -> u64 {
-    let mut q = EventQueue::new();
+    let mut q = TimerWheel::new();
     let t = Time::from_millis(1);
     for i in 0..10_000u64 {
         q.schedule_at(t, i);
@@ -217,7 +217,7 @@ fn queue_ties_10k() -> u64 {
 /// timers seconds out) — exercises the overflow path of the wheel.
 fn queue_far_future_10k() -> u64 {
     let mut rng = Xoshiro256::new(0xD00D);
-    let mut q = EventQueue::new();
+    let mut q = TimerWheel::new();
     for i in 0..10_000u64 {
         let at = if i % 16 == 0 {
             Time(1_000_000_000 + rng.next_u64() % 600_000_000_000)

@@ -27,6 +27,9 @@
 //!   (`d_{k+1} = max(0, d_k − D)`).
 //! * [`merit`] — §6.3's figure of merit `µ₊/µ₋` for the Vegas family
 //!   (Eq. 1) vs the exponential mapping (Eq. 2).
+//! * [`paper`] — the paper's paired-flow scenarios (§5.1–§5.4, Figure 7,
+//!   §6.3), one seeded constructor each, shared by every experiment,
+//!   bench, example and test that runs them.
 //! * [`canon`] — canonical trace scenarios: four frozen configurations
 //!   backing the golden-trace regression suite and `repro trace`.
 //! * [`sweep`] — the parallel sweep engine: declarative scenario grids
@@ -56,6 +59,7 @@ pub mod emulation;
 pub mod fairness;
 pub mod glossary;
 pub mod merit;
+pub mod paper;
 pub mod pigeonhole;
 pub mod profiler;
 pub mod runner;

@@ -73,6 +73,10 @@ impl LinkConfig {
     }
 }
 
+/// Packet size of a flow or workload that sets none (everything the paper
+/// runs uses 1500).
+pub const DEFAULT_MSS: u64 = 1500;
+
 /// Seconds of drain held by [`LinkConfig::ample_buffer`]:
 /// `buffer = rate × AMPLE_DRAIN_SECS`.
 pub const AMPLE_DRAIN_SECS: f64 = 100.0;
@@ -103,7 +107,7 @@ impl LinkConfig {
 pub struct FlowConfig {
     /// The congestion-control algorithm driving this flow's sender.
     pub cca: BoxCca,
-    /// Packet size in bytes (everything the paper runs uses 1500).
+    /// Packet size in bytes ([`DEFAULT_MSS`] unless set).
     pub mss: u64,
     /// Minimum propagation RTT `Rm` for this flow's path.
     pub rm: Dur,
@@ -138,7 +142,7 @@ impl FlowConfig {
     pub fn bulk(cca: BoxCca, rm: Dur) -> FlowConfig {
         FlowConfig {
             cca,
-            mss: 1500,
+            mss: DEFAULT_MSS,
             rm,
             jitter: Jitter::None,
             ack_policy: AckPolicy::PerPacket,

@@ -63,7 +63,7 @@ pub mod sender;
 pub mod sim;
 pub mod workload;
 
-pub use config::{AckPolicy, FlowConfig, LinkConfig, PathSpec, SimConfig, Transport};
+pub use config::{AckPolicy, FlowConfig, LinkConfig, PathSpec, SimConfig, Transport, DEFAULT_MSS};
 pub use jitter::Jitter;
 pub use metrics::{FlowMetrics, FlowRecord, Percentiles, PopulationSummary, RunStats, SimResult};
 pub use packet::FlowId;

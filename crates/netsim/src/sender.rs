@@ -592,12 +592,12 @@ impl<S: SeqStore> Sender<S> {
         }
     }
 
-    /// The RTO timer fired for `deadline`. Returns `true` if it was current
-    /// (and a timeout was processed).
-    pub fn on_rto(&mut self, now: Time, deadline: Time) -> bool {
-        if self.rto_deadline != Some(deadline) {
-            return false; // stale timer
-        }
+    /// The RTO timer fired at its current deadline `now` (the network's
+    /// `RtoTimer` drops superseded timers before they reach the sender).
+    /// Returns `true` if a timeout was processed, `false` if nothing was
+    /// outstanding and the timer was simply disarmed.
+    pub fn on_rto(&mut self, now: Time) -> bool {
+        debug_assert_eq!(self.rto_deadline, Some(now));
         if self.store.is_outstanding_empty() && self.retx_queue.is_empty() {
             self.rto_deadline = None;
             return false;
@@ -830,7 +830,7 @@ mod tests {
             s.try_emit(t0);
         }
         let deadline = s.rto_deadline().unwrap();
-        assert!(s.on_rto(deadline, deadline));
+        assert!(s.on_rto(deadline));
         assert_eq!(s.metrics.timeouts, 1);
         assert_eq!(s.in_flight(), 0);
         // All four packets queued for retransmission.
@@ -846,23 +846,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_rto_ignored() {
-        let mut s = sender(4);
-        let t0 = Time::from_millis(1);
-        s.try_emit(t0);
-        let stale = s.rto_deadline().unwrap();
-        // An ACK re-arms the timer; the old deadline is stale.
-        s.process_ack(Time::from_millis(40), &ack_for(0, 0, 0, t0));
-        assert!(!s.on_rto(stale, stale));
-    }
-
-    #[test]
     fn rto_backoff_doubles() {
         let mut s = sender(4);
         let t0 = Time::from_millis(1);
         s.try_emit(t0);
         let d1 = s.rto_deadline().unwrap();
-        s.on_rto(d1, d1);
+        s.on_rto(d1);
         let d2 = s.rto_deadline().unwrap();
         let gap1 = d1.since(t0);
         let gap2 = d2.since(d1);
@@ -875,7 +864,7 @@ mod tests {
         let t0 = Time::from_millis(1);
         s.try_emit(t0);
         let deadline = s.rto_deadline().unwrap();
-        s.on_rto(deadline, deadline);
+        s.on_rto(deadline);
         // Retransmit packet 0.
         let t1 = deadline;
         s.try_emit(t1);

@@ -35,7 +35,7 @@ use crate::receiver::Receiver;
 use crate::pktstore::{PktStore, SeqStore};
 use crate::sender::{Emit, Sender};
 use crate::workload::WorkloadRun;
-use simcore::engine::EventQueue;
+use simcore::wheel::TimerWheel;
 use simcore::rng::Xoshiro256;
 use simcore::trace::{Auditor, Event, FlowAuditSpec, TraceSink};
 use simcore::units::{count_as_u64, Dur, Time};
@@ -110,7 +110,7 @@ impl RtoTimer {
     /// filed nothing for it either), but its entry is filed if no entry
     /// covers it any more: one that popped while the deadline was elsewhere
     /// did not re-file.
-    fn arm(&mut self, q: &mut EventQueue<Ev>, flow: FlowId, deadline: Time) {
+    fn arm(&mut self, q: &mut TimerWheel<Ev>, flow: FlowId, deadline: Time) {
         let seq = match self.reserved {
             Some((d, seq)) if d == deadline => seq,
             _ => {
@@ -126,7 +126,7 @@ impl RtoTimer {
     /// sender's deadline at this moment.
     fn pop(
         &mut self,
-        q: &mut EventQueue<Ev>,
+        q: &mut TimerWheel<Ev>,
         flow: FlowId,
         now: Time,
         deadline: Option<Time>,
@@ -145,7 +145,7 @@ impl RtoTimer {
 
     /// File an entry at `at` under `seq` if it would pop before every
     /// entry already filed; returns whether it did.
-    fn file_if_first(&mut self, q: &mut EventQueue<Ev>, flow: FlowId, at: Time, seq: u64) -> bool {
+    fn file_if_first(&mut self, q: &mut TimerWheel<Ev>, flow: FlowId, at: Time, seq: u64) -> bool {
         if self.filed.last().is_some_and(|&next| next <= at) {
             return false;
         }
@@ -161,7 +161,7 @@ impl RtoTimer {
 /// [`RefStore`](crate::pktstore::RefStore) via [`Network::with_store`]
 /// (the original B-tree containers, kept as the equivalence oracle).
 pub struct Network<S: SeqStore = PktStore> {
-    q: EventQueue<Ev>,
+    q: TimerWheel<Ev>,
     /// Same-instant lane: work scheduled for the current instant, in
     /// scheduling order.
     lane: VecDeque<Now>,
@@ -225,7 +225,7 @@ impl<S: SeqStore> Network<S> {
         link.set_ecn_threshold(cfg.link.ecn_threshold);
         let end = Time::ZERO + cfg.duration;
         let mut net = Network {
-            q: EventQueue::new(),
+            q: TimerWheel::new(),
             lane: VecDeque::new(),
             link,
             senders: Vec::new(),
@@ -609,7 +609,7 @@ impl<S: SeqStore> Network<S> {
             return;
         }
         self.stats.rtos += 1;
-        if self.senders[f.index()].on_rto(now, now) {
+        if self.senders[f.index()].on_rto(now) {
             if self.trace.is_some() {
                 let cwnd = self.senders[f.index()].cwnd();
                 let pacing = self.senders[f.index()].cca().pacing_rate();
@@ -1083,16 +1083,16 @@ mod tests {
         }
         let ms = Time::from_millis;
         let flow = FlowId::from_index(0);
-        let mut lazy_q: EventQueue<Ev> = EventQueue::new();
-        let mut eager_q: EventQueue<Eager> = EventQueue::new();
+        let mut lazy_q: TimerWheel<Ev> = TimerWheel::new();
+        let mut eager_q: TimerWheel<Eager> = TimerWheel::new();
         let mut timer = RtoTimer::default();
         let mut eager_last: Option<Time> = None;
         let mut deadline: Option<Time> = None;
         let mut markers = 0u32;
         let mut out = Vec::new();
         let pop_until = |limit: Time,
-                             lazy_q: &mut EventQueue<Ev>,
-                             eager_q: &mut EventQueue<Eager>,
+                             lazy_q: &mut TimerWheel<Ev>,
+                             eager_q: &mut TimerWheel<Eager>,
                              timer: &mut RtoTimer,
                              deadline: &mut Option<Time>,
                              out: &mut Vec<(Time, Option<u32>)>| {

@@ -15,7 +15,7 @@
 //! hermetic [`Xoshiro256`] streams, so a workload of a thousand flows is
 //! exactly as reproducible as a two-flow scenario: same config, same bits.
 
-use crate::config::FlowConfig;
+use crate::config::{FlowConfig, DEFAULT_MSS};
 use crate::jitter::Jitter;
 use cca::BoxCca;
 use simcore::rng::Xoshiro256;
@@ -119,7 +119,7 @@ impl Workload {
             sizes,
             cca,
             rm,
-            mss: 1500,
+            mss: DEFAULT_MSS,
             jitter: None,
             loss: None,
         }

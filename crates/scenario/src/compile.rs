@@ -8,7 +8,7 @@
 //! and the Rust constructor it replaces produce bit-identical configs
 //! (the golden-trace suite holds the canonical corpus to this).
 
-use crate::ast::{ArrivalSpec, Buffer, CcaId, Flow, Scenario, SizeSpec, WorkloadSpec};
+use crate::ast::{ArrivalSpec, Buffer, CcaId, Flow, Link, Scenario, SizeSpec, WorkloadSpec};
 use cca::delay_aimd::DelayAimdConfig;
 use cca::jitter_aware::JitterAwareConfig;
 use cca::BoxCca;
@@ -101,20 +101,25 @@ fn workload_config(w: &WorkloadSpec) -> Workload {
     wl
 }
 
-/// Lower a scenario to a runnable simulation configuration.
-pub fn compile(s: &Scenario) -> SimConfig {
-    let rate = Rate::from_mbps(s.link.rate_mbps);
-    let link = match s.link.buffer {
+/// Lower a link block. The parser evaluates the same formula to reject a
+/// buffer that cannot hold one packet.
+pub(crate) fn link_config(link: &Link) -> LinkConfig {
+    let rate = Rate::from_mbps(link.rate_mbps);
+    let config = match link.buffer {
         Buffer::Ample => LinkConfig::ample_buffer(rate),
         Buffer::Bytes(b) => LinkConfig::new(rate, b),
         Buffer::Bdp { n, rtt } => LinkConfig::bdp_buffer(rate, rtt, n),
     };
-    let link = match s.link.ecn_bytes {
-        Some(threshold) => link.with_ecn(threshold),
-        None => link,
-    };
+    match link.ecn_bytes {
+        Some(threshold) => config.with_ecn(threshold),
+        None => config,
+    }
+}
+
+/// Lower a scenario to a runnable simulation configuration.
+pub fn compile(s: &Scenario) -> SimConfig {
     let flows = s.flows.iter().map(flow_config).collect();
-    let mut cfg = SimConfig::new(link, flows, s.duration);
+    let mut cfg = SimConfig::new(link_config(&s.link), flows, s.duration);
     if let Some(every) = s.sample_every {
         cfg = cfg.with_sample_every(every);
     }

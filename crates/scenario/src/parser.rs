@@ -27,15 +27,19 @@
 //! Required: one `link` block (with `rate` and `buffer`), a `duration`,
 //! and at least one flow — a `flow` block or a `workload` block (flows
 //! need `cca` and `rtt`; a workload needs `flows`, `arrivals`, `sizes`,
-//! `cca` and `rtt`). Everything else is optional. Errors are fail-fast
-//! and carry a 1-based line/column plus a *stable* message — the
-//! negative-parse suite pins the exact wording.
+//! `cca` and `rtt`). Everything else is optional. The buffer, sized as
+//! `compile` sizes it, must hold the largest packet any flow sends (`mss`,
+//! default 1500 B). Errors are fail-fast and carry a 1-based line/column
+//! plus a *stable* message — the negative-parse suite pins the exact
+//! wording.
 
 use crate::ast::{
     ArrivalSpec, Buffer, CcaId, Flow, JitterSpec, Link, LossSpec, Scenario, SizeSpec, WorkloadSpec,
     ALL_CCAS,
 };
+use crate::compile::link_config;
 use crate::lexer::{lex, ParseError, TokKind, Token};
+use netsim::DEFAULT_MSS;
 use simcore::units::Dur;
 
 /// Parse one `.scn` source into a [`Scenario`].
@@ -89,7 +93,7 @@ impl Parser {
         let name = self.expect_kind(TokKind::Str, "a scenario name string")?;
         self.expect_kind(TokKind::LBrace, "`{`")?;
 
-        let mut link: Option<Link> = None;
+        let mut link: Option<(Link, Token)> = None;
         let mut duration: Option<Dur> = None;
         let mut sample_every: Option<Dur> = None;
         let mut flows: Vec<Flow> = Vec::new();
@@ -159,7 +163,7 @@ impl Parser {
             }
         }
 
-        let Some(link) = link else {
+        let Some((link, buffer_tok)) = link else {
             return Err(ParseError::at(&kw, "scenario is missing a `link` block"));
         };
         let Some(duration) = duration else {
@@ -171,13 +175,32 @@ impl Parser {
                 "scenario has no flows (at least one `flow` or `workload` block is required)",
             ));
         }
+        // A buffer smaller than one packet drops every packet: reject the
+        // dead configuration here rather than run it to zero throughput.
+        let max_pkt = flows
+            .iter()
+            .map(|f| f.mss)
+            .chain(workload.iter().map(|w| w.mss))
+            .map(|mss| mss.unwrap_or(DEFAULT_MSS))
+            .max()
+            .unwrap_or(DEFAULT_MSS);
+        let buffer_bytes = link_config(&link).buffer_bytes;
+        if buffer_bytes < max_pkt {
+            return Err(ParseError::at(
+                &buffer_tok,
+                format!(
+                    "buffer of {buffer_bytes}B is smaller than one {max_pkt}B packet, so every packet would be dropped"
+                ),
+            ));
+        }
         Ok(Scenario { name: name.text, link, duration, sample_every, flows, workload })
     }
 
-    fn link_block(&mut self) -> Result<Link, ParseError> {
+    /// A link block, and the token where its buffer value starts.
+    fn link_block(&mut self) -> Result<(Link, Token), ParseError> {
         let open = self.expect_kind(TokKind::LBrace, "`{`")?;
         let mut rate: Option<f64> = None;
-        let mut buffer: Option<Buffer> = None;
+        let mut buffer: Option<(Buffer, Token)> = None;
         let mut ecn: Option<u64> = None;
         loop {
             let t = self.advance();
@@ -199,7 +222,8 @@ impl Parser {
                         if buffer.is_some() {
                             return Err(ParseError::at(&t, "duplicate field `buffer` in link block"));
                         }
-                        buffer = Some(self.buffer_spec()?);
+                        let value = self.peek().clone();
+                        buffer = Some((self.buffer_spec()?, value));
                     }
                     "ecn" => {
                         if ecn.is_some() {
@@ -226,10 +250,10 @@ impl Parser {
         let Some(rate_mbps) = rate else {
             return Err(ParseError::at(&open, "link is missing required field `rate`"));
         };
-        let Some(buffer) = buffer else {
+        let Some((buffer, buffer_tok)) = buffer else {
             return Err(ParseError::at(&open, "link is missing required field `buffer`"));
         };
-        Ok(Link { rate_mbps, buffer, ecn_bytes: ecn })
+        Ok((Link { rate_mbps, buffer, ecn_bytes: ecn }, buffer_tok))
     }
 
     fn buffer_spec(&mut self) -> Result<Buffer, ParseError> {
@@ -901,5 +925,28 @@ scenario "steady" {
         let src = format!("{COPA_JITTER} extra");
         let err = parse(&src).expect_err("trailing tokens");
         assert!(err.msg.contains("expected end of input"), "{err}");
+    }
+
+    #[test]
+    fn buffer_must_hold_the_largest_packet() {
+        let scn = |buffer: &str, mss: &str| {
+            format!(
+                "scenario \"b\" {{ link {{ rate 1mbps buffer {buffer} }} duration 1s \
+                 flow f {{ cca reno rtt 40ms {mss} }} workload {{ flows 2 arrivals every 10ms \
+                 sizes fixed 1000B cca reno rtt 20ms mss 1000 }} }}"
+            )
+        };
+        // Exactly one default-size packet fits.
+        parse(&scn("1500B", "")).expect("a one-packet buffer is live");
+        let err = parse(&scn("1499B", "")).expect_err("sub-packet buffer");
+        assert_eq!((err.line, err.col), (1, 41));
+        // `bdp` buffers are sized as compile sizes them: 1 Mbit/s × 1 ms is
+        // 125 B, floored to 3000 B — too small for a 4000 B packet.
+        parse(&scn("bdp 1 1ms", "mss 3000")).expect("3000 B floor holds 3000 B");
+        let err = parse(&scn("bdp 1 1ms", "mss 4000")).expect_err("mss above the floor");
+        assert_eq!(
+            err.msg,
+            "buffer of 3000B is smaller than one 4000B packet, so every packet would be dropped"
+        );
     }
 }

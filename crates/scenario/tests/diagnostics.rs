@@ -38,6 +38,11 @@ const FIXTURES: &[(&str, &str, &str)] = &[
         "8:10: loss probability must be in [0, 1], got `1.5`",
     ),
     (
+        "tiny-buffer",
+        include_str!("bad/tiny-buffer.scn"),
+        "4:29: buffer of 1B is smaller than one 1500B packet, so every packet would be dropped",
+    ),
+    (
         "no-flows",
         include_str!("bad/no-flows.scn"),
         "3:1: scenario has no flows (at least one `flow` or `workload` block is required)",

@@ -9,13 +9,12 @@
 //! * [`units`] — strongly-typed simulated time ([`Time`], [`Dur`]) and
 //!   rates ([`Rate`]). Time is integer nanoseconds, so event ordering is
 //!   exact and runs are bit-reproducible.
-//! * [`engine`] — the event queue API with deterministic tie-breaking,
-//!   backed by [`wheel`].
 //! * [`flow`] — the [`FlowId`] newtype keying all per-flow state (trace
 //!   events, audit specs, per-flow results) with dense deterministic ids.
-//! * [`wheel`] — a hierarchical timer wheel: `O(1)` near-horizon
-//!   schedule/pop with the exact `(time, seq)` firing order of a binary
-//!   heap, plus an overflow heap for the far future.
+//! * [`wheel`] — the simulator's event queue, a hierarchical timer wheel:
+//!   `O(1)` near-horizon schedule/pop with deterministic `(time, seq)`
+//!   tie-breaking (the exact firing order of a binary heap), plus an
+//!   overflow heap for the far future.
 //! * [`inlinevec`] — a small-capacity inline vector that spills to the heap
 //!   only past `N` elements; used to keep per-event hot paths in `netsim`
 //!   allocation-free.
@@ -44,7 +43,6 @@
 //! tricks, no async runtime (the workload is CPU-bound and must be
 //! deterministic), simple and robust.
 
-pub mod engine;
 pub mod filter;
 pub mod flow;
 pub mod inlinevec;
@@ -57,7 +55,6 @@ pub mod trace;
 pub mod units;
 pub mod wheel;
 
-pub use engine::EventQueue;
 pub use flow::FlowId;
 pub use inlinevec::InlineVec;
 pub use rng::Xoshiro256;

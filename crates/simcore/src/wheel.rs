@@ -1,4 +1,11 @@
-//! Hierarchical timer wheel: the storage engine behind [`EventQueue`].
+//! Hierarchical timer wheel: the simulator's deterministic event queue.
+//!
+//! The simulator's only source of ordering is this queue: events fire in
+//! `(time, insertion sequence)` order, so two events scheduled for the same
+//! instant fire in the order they were scheduled. That rule, plus integer
+//! time and the self-contained PRNG, makes every run bit-reproducible.
+//! Popping an event advances the clock to its timestamp; scheduling an
+//! event in the past is a bug and panics.
 //!
 //! A discrete-event simulator spends a large share of its cycles pushing and
 //! popping the future-event list. A binary heap does both in `O(log n)` with
@@ -469,6 +476,7 @@ mod tests {
     #[test]
     fn peek_matches_pop_everywhere() {
         let mut w = TimerWheel::new();
+        assert_eq!(w.peek_time(), None);
         let times = [
             Time(10),
             Time(2_000),
@@ -484,6 +492,7 @@ mod tests {
             let (t, _) = w.pop().expect("non-empty");
             assert_eq!(peeked, Some(t));
         }
+        assert_eq!(w.peek_time(), None);
     }
 
     #[test]

@@ -388,7 +388,7 @@ fn clock() { let t = Instant::now(); }
     #[test]
     fn round_trip_preserves_analysis_exactly() {
         let a = sample_analysis();
-        let cache = Cache::build("fp", &[a.clone()], &["0123abcd".to_string()]);
+        let cache = Cache::build("fp", std::slice::from_ref(&a), &["0123abcd".to_string()]);
         let dir = std::env::temp_dir().join(format!("simlint-cache-rt-{}", std::process::id()));
         let path = dir.join("test.cache");
         cache.save(&path).expect("test: temp dir is writable");

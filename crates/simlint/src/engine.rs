@@ -754,7 +754,7 @@ fn grand() { caller(); }
         let src = "fn caller() {\n    helper(); // simlint: allow(hot-path-alloc): once per run\n}\n";
         let a = analyze_rust(&cfg(), "f.rs", src);
         // Partial (complete=false): the allow is exempt from judgement.
-        let out = finish(&cfg(), &[a.clone()], false, false);
+        let out = finish(&cfg(), std::slice::from_ref(&a), false, false);
         assert!(out.is_empty(), "{out:#?}");
         // Complete: it is stale and reported.
         let out = finish(&cfg(), &[a], true, false);

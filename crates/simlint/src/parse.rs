@@ -198,8 +198,7 @@ fn skip_generics(toks: &[Token], i: usize) -> usize {
 fn decl_start_line(toks: &[Token], fn_idx: usize) -> u32 {
     let mut line = toks[fn_idx].line;
     let mut j = fn_idx;
-    loop {
-        let Some(p) = prev_code(toks, j) else { break };
+    while let Some(p) = prev_code(toks, j) {
         let t = &toks[p];
         let qualifier = t.is_ident("pub")
             || t.is_ident("const")

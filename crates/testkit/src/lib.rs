@@ -13,8 +13,8 @@
 //! * [`bench`] — a measurement harness with warmup, timed iterations,
 //!   mean/p50/p99 via [`simcore::stats`], and JSON-lines output under
 //!   `results/bench/*.json` (replaces `criterion`).
-//! * [`harness`] — the scenario fixtures (`run_one`-style builders) that the
-//!   integration tests used to copy-paste from each other.
+//! * [`harness`] — the single-flow `run_one` fixture the integration
+//!   tests share.
 //!
 //! Determinism is the point: a property run with the same
 //! `TESTKIT_SEED`/`TESTKIT_CASES` is bit-identical, and the simulator's own

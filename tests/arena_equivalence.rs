@@ -31,7 +31,7 @@ use netsim::{
     ArrivalProcess, FlowConfig, Jitter, LinkConfig, Network, RefStore, SimConfig, SimResult,
     SizeDist, Workload,
 };
-use simcore::engine::EventQueue;
+use simcore::wheel::TimerWheel;
 use simcore::rng::Xoshiro256;
 use simcore::series::TimeSeries;
 use simcore::trace::{RingSink, TraceSink};
@@ -237,9 +237,9 @@ fn batched_pop_matches_single_pop_order() {
         out
     }
 
-    fn seeded_queue(seed: u64) -> (EventQueue<u64>, Xoshiro256) {
+    fn seeded_queue(seed: u64) -> (TimerWheel<u64>, Xoshiro256) {
         let mut rng = Xoshiro256::new(seed);
-        let mut q = EventQueue::new();
+        let mut q = TimerWheel::new();
         // A handful of tick-sharing time values so batches are non-trivial.
         let times: Vec<Time> = (0..40)
             .map(|_| Time(rng.next_u64() % 5_000_000))
@@ -254,7 +254,7 @@ fn batched_pop_matches_single_pop_order() {
     /// Deterministically (from the shared PRNG stream) schedule follow-up
     /// events at the current instant or slightly later — the pattern that
     /// distinguishes batch semantics from a frozen snapshot of the queue.
-    fn maybe_follow_up(q: &mut EventQueue<u64>, rng: &mut Xoshiro256, t: Time, v: u64, budget: &mut u32) {
+    fn maybe_follow_up(q: &mut TimerWheel<u64>, rng: &mut Xoshiro256, t: Time, v: u64, budget: &mut u32) {
         if *budget == 0 {
             return;
         }

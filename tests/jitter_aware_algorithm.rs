@@ -4,12 +4,18 @@
 use cca::delay_aimd::DelayAimdConfig;
 use cca::jitter_aware::JitterAwareConfig;
 use cca::BoxCca;
-use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig};
+use netsim::{FlowConfig, Jitter, LinkConfig, Network, SimConfig, SimResult};
 use simcore::rng::Xoshiro256;
 use simcore::units::{Dur, Rate, Time};
 use starvation::fairness::check_s_fairness;
 use starvation::merit::{exponential_merit, vegas_family_merit};
-use testkit::harness::asymmetric_jitter_run;
+use starvation::paper;
+
+/// §6.3's pair for 60 s: up to 10 ms of random jitter (stream 11) on the
+/// first flow's path.
+fn jitter_pair_run(mk: impl Fn(u64) -> BoxCca) -> SimResult {
+    Network::new(paper::jitter_pair(mk, Dur::from_millis(10), 11, Dur::from_secs(60))).run()
+}
 
 fn jitter_aware(a_mbps: f64) -> BoxCca {
     let mut cfg = JitterAwareConfig::example(Dur::from_millis(50));
@@ -19,7 +25,7 @@ fn jitter_aware(a_mbps: f64) -> BoxCca {
 
 #[test]
 fn algorithm1_is_s_fair_under_designed_jitter() {
-    let r = asymmetric_jitter_run(|| jitter_aware(0.4), 60);
+    let r = jitter_pair_run(|_| jitter_aware(0.4));
     // Definition 2, checked empirically: a time exists after which the
     // ratio stays below s (with AIMD-sawtooth slack).
     let report = check_s_fairness(&r.flows[0], &r.flows[1], r.end, 2.0 * 1.8, 30);
@@ -32,7 +38,7 @@ fn algorithm1_is_s_fair_under_designed_jitter() {
 
 #[test]
 fn vegas_is_not_s_fair_under_the_same_jitter() {
-    let r = asymmetric_jitter_run(|| Box::new(cca::Vegas::default_params()), 60);
+    let r = jitter_pair_run(|_| Box::new(cca::Vegas::default_params()));
     let report = check_s_fairness(&r.flows[0], &r.flows[1], r.end, 3.0, 30);
     // Vegas's ratio keeps exceeding 3 in the tail of the run.
     assert!(
@@ -84,13 +90,12 @@ fn algorithm1_supported_rate_range_is_exponential() {
 #[test]
 fn delay_aimd_survives_designed_jitter_and_shares() {
     // §6.2's conjectured design: oscillations larger than the jitter.
-    let mk = || -> BoxCca {
+    let r = jitter_pair_run(|_| {
         Box::new(cca::DelayAimd::new(DelayAimdConfig::for_jitter(
             Dur::from_millis(50),
             Dur::from_millis(10),
         )))
-    };
-    let r = asymmetric_jitter_run(mk, 60);
+    });
     let a = r.flows[0].throughput_at(r.end).mbps();
     let b = r.flows[1].throughput_at(r.end).mbps();
     let ratio = a.max(b) / a.min(b).max(1e-9);
